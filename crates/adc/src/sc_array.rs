@@ -11,14 +11,18 @@
 //! DAC+ + DAC− = 2·Vcm + VREF[32] − (IN+ + IN−)   (invariance I3, Eq. 3)
 //! ```
 //!
-//! The block is always evaluated with the transient MNA engine — switches
-//! have finite on-resistance, so code changes produce the settling glitches
-//! visible in the paper's Fig. 5, and defects (stuck switches, floating
-//! bottom plates, shorted capacitors) need no special-case algebra.
+//! Each side is a linear netlist stepped in time with backward Euler —
+//! switches have finite on-resistance, so code changes produce the settling
+//! glitches visible in the paper's Fig. 5, and defects (stuck switches,
+//! floating bottom plates, shorted capacitors) need no special-case
+//! algebra. Within a switch phase a side's step is a fixed affine map over
+//! its capacitor voltages, so [`LinearTransient`] factors it once per phase
+//! and advances a code with small mat-vecs; `TransientSim` on the same side
+//! circuits is the tests' oracle.
 
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId, SourceWave};
-use symbist_circuit::transient::{TransientOptions, TransientSim};
+use symbist_circuit::transient::LinearTransient;
 use symbist_circuit::waveform::Trace;
 
 use crate::config::AdcConfig;
@@ -373,16 +377,10 @@ impl ScArray {
             circuit.set_phase(true); // sampling
             circuit
         });
-        let mk_sim = |circuit: &SideCircuit| {
-            TransientSim::new(
-                &circuit.nl,
-                TransientOptions {
-                    dt,
-                    ..Default::default()
-                },
-            )
-        };
-        let sims = [mk_sim(&circuits[0])?, mk_sim(&circuits[1])?];
+        let sims = [
+            LinearTransient::new(&circuits[0].nl, dt)?,
+            LinearTransient::new(&circuits[1].nl, dt)?,
+        ];
 
         let mut session = ScSession {
             circuits,
@@ -461,7 +459,7 @@ impl ScArray {
 #[derive(Debug)]
 pub struct ScSession {
     circuits: [SideCircuit; 2],
-    sims: [TransientSim; 2],
+    sims: [LinearTransient; 2],
     traces: ScTraces,
     record: bool,
     sampling: bool,
@@ -508,18 +506,24 @@ impl ScSession {
     }
 
     fn run_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
+        if !self.record {
+            // The sides are independent circuits: each can take its steps
+            // in one call.
+            for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
+                sim.advance(&circuit.nl, steps)?;
+            }
+            return Ok(());
+        }
         for _ in 0..steps {
             for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
                 sim.step(&circuit.nl)?;
             }
-            if self.record {
-                let vp = self.sims[0].voltage(self.circuits[0].top);
-                let vn = self.sims[1].voltage(self.circuits[1].top);
-                let t = self.sims[0].time();
-                self.traces.dac_p.push(t, vp);
-                self.traces.dac_n.push(t, vn);
-                self.traces.sum.push(t, vp + vn);
-            }
+            let vp = self.sims[0].voltage(self.circuits[0].top);
+            let vn = self.sims[1].voltage(self.circuits[1].top);
+            let t = self.sims[0].time();
+            self.traces.dac_p.push(t, vp);
+            self.traces.dac_n.push(t, vn);
+            self.traces.sum.push(t, vp + vn);
         }
         Ok(())
     }
@@ -726,6 +730,136 @@ mod tests {
         for (vp, vn) in out {
             let dev = (vp + vn - 1.2).abs();
             assert!(dev < 5e-3, "mismatch dev {dev}");
+        }
+    }
+
+    /// The sequence `ScSession` runs, on the same side circuits, stepped
+    /// by the general `TransientSim` engine (backward Euler, same `dt`).
+    fn oracle_sequence(
+        sc: &ScArray,
+        (in_p, in_n, vcm): (f64, f64, f64),
+        levels_p: &[SideLevels],
+        levels_n: &[SideLevels],
+    ) -> Result<ScTraces, CircuitError> {
+        use symbist_circuit::transient::{TransientOptions, TransientSim};
+        let options = TransientOptions {
+            dt: sc.cfg.clock_period() / STEPS_PER_CYCLE as f64,
+            ..Default::default()
+        };
+        let mut circuits = [(Side::P, in_p), (Side::N, in_n)].map(|(side, vin)| {
+            let mut circuit = sc.build_side(side, vin, vcm);
+            circuit.set_phase(true);
+            circuit
+        });
+        let mut sims = [
+            TransientSim::new(&circuits[0].nl, options.clone())?,
+            TransientSim::new(&circuits[1].nl, options)?,
+        ];
+        let mut out = ScTraces {
+            dac_p: Trace::new("dac_p"),
+            dac_n: Trace::new("dac_n"),
+            sum: Trace::new("dac_sum"),
+            settled: Vec::new(),
+            cycle_time: sc.cfg.clock_period(),
+        };
+        let mut run = |circuits: &[SideCircuit; 2], out: &mut ScTraces, steps: usize| {
+            for _ in 0..steps {
+                for (sim, circuit) in sims.iter_mut().zip(circuits) {
+                    sim.step(&circuit.nl)?;
+                }
+                let (vp, vn) = (
+                    sims[0].voltage(circuits[0].top),
+                    sims[1].voltage(circuits[1].top),
+                );
+                out.dac_p.push(sims[0].time(), vp);
+                out.dac_n.push(sims[0].time(), vn);
+                out.sum.push(sims[0].time(), vp + vn);
+            }
+            Ok::<_, CircuitError>((
+                sims[0].voltage(circuits[0].top),
+                sims[1].voltage(circuits[1].top),
+            ))
+        };
+        run(&circuits, &mut out, STEPS_PER_CYCLE)?;
+        for circuit in circuits.iter_mut() {
+            circuit.set_phase(false);
+        }
+        for (lp, ln) in levels_p.iter().zip(levels_n) {
+            let p = &mut circuits[0];
+            p.set_source(p.src_m, lp.m);
+            p.set_source(p.src_l, lp.l);
+            run(&circuits, &mut out, 1)?;
+            let n = &mut circuits[1];
+            n.set_source(n.src_m, ln.m);
+            n.set_source(n.src_l, ln.l);
+            let settled = run(&circuits, &mut out, STEPS_PER_CYCLE - 1)?;
+            out.settled.push(settled);
+        }
+        Ok(out)
+    }
+
+    fn assert_close(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: lengths differ");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!((g - w).abs() <= 1e-9, "{what}[{i}]: {g} vs {w}");
+        }
+    }
+
+    /// The step operator reproduces `TransientSim` on the defect-free
+    /// array, a mismatch sample and every one of the 76 SC-array defects,
+    /// over the 32-code counter stimulus: settled values and full traces
+    /// within 1e-9 V, and the same error where a side has no solution.
+    #[test]
+    fn step_operator_matches_transient_sim_on_every_defect() {
+        let c = cfg();
+        let nominal = ScArray::new(&c);
+        let mut arrays = vec![("defect-free".to_string(), nominal.clone())];
+        let mut mismatched = nominal.clone();
+        mismatched.set_mismatch(ScMismatch {
+            cm_p: 0.004,
+            cl_p: -0.006,
+            cm_n: -0.002,
+            cl_n: 0.005,
+        });
+        arrays.push(("mismatch".to_string(), mismatched));
+        for (idx, info) in nominal.components().iter().enumerate() {
+            for &kind in info.kind.applicable_defects() {
+                let mut sc = nominal.clone();
+                sc.set_defect(Some((idx, kind)));
+                arrays.push((format!("{} {kind}", info.name), sc));
+            }
+        }
+        assert_eq!(arrays.len(), 2 + 76, "SC-array defect universe");
+
+        let inputs = (0.75, 0.45, 0.6);
+        let (lp, ln) = counter_levels(1.2, 0..32);
+        for (name, sc) in &arrays {
+            let want = oracle_sequence(sc, inputs, &lp, &ln);
+            let settled = sc.run_codes(inputs.0, inputs.1, inputs.2, &lp, &ln);
+            let traced = sc.trace_codes(inputs.0, inputs.1, inputs.2, &lp, &ln);
+            let want = match want {
+                Ok(want) => want,
+                Err(e) => {
+                    assert_eq!(settled.err(), Some(e.clone()), "{name}: run_codes");
+                    assert_eq!(traced.err(), Some(e), "{name}: trace_codes");
+                    continue;
+                }
+            };
+            let flat = |pairs: &[(f64, f64)]| -> Vec<f64> {
+                pairs.iter().flat_map(|&(p, n)| [p, n]).collect()
+            };
+            let settled = settled.unwrap_or_else(|e| panic!("{name}: run_codes: {e}"));
+            assert_close(name, &flat(&settled), &flat(&want.settled));
+            let traced = traced.unwrap_or_else(|e| panic!("{name}: trace_codes: {e}"));
+            assert_close(name, &flat(&traced.settled), &flat(&want.settled));
+            for (got, want) in [
+                (&traced.dac_p, &want.dac_p),
+                (&traced.dac_n, &want.dac_n),
+                (&traced.sum, &want.sum),
+            ] {
+                assert_eq!(got.times(), want.times(), "{name}: {} times", got.name());
+                assert_close(name, got.values(), want.values());
+            }
         }
     }
 

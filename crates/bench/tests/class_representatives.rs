@@ -1,18 +1,11 @@
-//! Cross-validates the class-representative campaign against an
-//! exhaustive campaign on a restricted slice of the Table-I universe:
-//! extrapolating one simulated representative per (orbit × defect kind)
-//! class must reproduce the exhaustive L-W coverage while simulating
-//! measurably fewer defects.
-//!
-//! Restricted to the SC-array and Vcm-generator blocks so the test stays
-//! in tier-1 runtime; the full-universe figure is exercised by the
-//! `table1 --class-representatives` binary and the CI static-analysis
-//! gate.
-
-use std::collections::HashMap;
+//! Proves class extrapolation on the shipped ADC against an exhaustive
+//! campaign over the full Table-I universe: every member of every
+//! (orbit × defect kind) class must get the verdict of its class's lowest
+//! member, and the class-representative campaign must reproduce the
+//! exhaustive L-W coverage while simulating measurably fewer defects.
 
 use symbist::experiments::ExperimentConfig;
-use symbist_adc::{BlockKind, SarAdc};
+use symbist_adc::SarAdc;
 use symbist_defects::{
     run_campaign, run_class_campaign, CampaignOptions, ClassCampaignOptions, DefectUniverse,
     LikelihoodModel,
@@ -21,10 +14,7 @@ use symbist_lint::analyze_adc_with_universe;
 
 #[test]
 fn class_representatives_agree_with_exhaustive_campaign() {
-    let xc = ExperimentConfig {
-        calibration_samples: 8,
-        ..Default::default()
-    };
+    let xc = ExperimentConfig::default();
     let engine = xc.build_engine();
     let adc = SarAdc::new(xc.adc.clone());
     let universe = DefectUniverse::enumerate(&adc, &LikelihoodModel::default());
@@ -36,42 +26,9 @@ fn class_representatives_agree_with_exhaustive_campaign() {
     );
     let partition = analysis.partition();
 
-    // Restrict to two blocks: defect classes never straddle a block
-    // boundary (an orbit lives on one component's devices), so slicing
-    // the partition down to the kept indices is still an exact cover.
-    let keep: Vec<usize> = (0..universe.len())
-        .filter(|&i| {
-            matches!(
-                universe.defects()[i].block,
-                BlockKind::ScArray | BlockKind::VcmGenerator
-            )
-        })
-        .collect();
-    let sub_index: HashMap<usize, usize> = keep.iter().enumerate().map(|(s, &f)| (f, s)).collect();
-    let sub = DefectUniverse::from_defects(
-        keep.iter()
-            .map(|&f| universe.defects()[f].clone())
-            .collect(),
-    );
-    let sub_partition: Vec<Vec<usize>> = partition
-        .iter()
-        .map(|class| {
-            let kept: Vec<usize> = class
-                .iter()
-                .filter_map(|d| sub_index.get(d).copied())
-                .collect();
-            assert!(
-                kept.is_empty() || kept.len() == class.len(),
-                "class straddles the block restriction"
-            );
-            kept
-        })
-        .filter(|c| !c.is_empty())
-        .collect();
-
     let exhaustive = run_campaign(
         &adc,
-        &sub,
+        &universe,
         &CampaignOptions {
             seed: xc.seed,
             threads: xc.threads,
@@ -79,11 +36,37 @@ fn class_representatives_agree_with_exhaustive_campaign() {
         },
         |dut| engine.campaign_test(dut),
     )
-    .expect("exhaustive sub-campaign is well-formed");
+    .expect("exhaustive campaign is well-formed");
+    assert_eq!(exhaustive.simulated(), universe.len());
+
+    // The 100 % audit: a verdict is "detected", "escaped" or "unresolved"
+    // (`None`), and it must be constant over every class.
+    let mut verdict = vec![None; universe.len()];
+    for r in &exhaustive.records {
+        verdict[r.defect_index] = Some(r.outcome.completed().map(|o| o.detected));
+    }
+    assert!(verdict.iter().all(Option::is_some), "a defect went unrun");
+    let disagreements: Vec<(usize, usize)> = partition
+        .iter()
+        .flat_map(|class| {
+            let lowest = class.iter().copied().min().expect("classes are non-empty");
+            let verdict = &verdict;
+            class
+                .iter()
+                .filter(move |&&d| verdict[d] != verdict[lowest])
+                .map(move |&d| (lowest, d))
+        })
+        .collect();
+    assert!(
+        disagreements.is_empty(),
+        "{} (lowest member, disagreeing member) pairs: {disagreements:?}",
+        disagreements.len()
+    );
+
     let class = run_class_campaign(
         &adc,
-        &sub,
-        &sub_partition,
+        &universe,
+        &partition,
         &ClassCampaignOptions {
             seed: xc.seed,
             threads: xc.threads,
@@ -91,14 +74,14 @@ fn class_representatives_agree_with_exhaustive_campaign() {
         },
         |dut| engine.campaign_test(dut),
     )
-    .expect("analyzer partition restricts to an exact cover");
+    .expect("analyzer partition is an exact cover");
 
     // The representative campaign must be measurably cheaper...
     assert!(
-        class.simulated < sub.len(),
+        class.simulated < universe.len(),
         "simulated {} of {} — no savings",
         class.simulated,
-        sub.len()
+        universe.len()
     );
     assert!(class.defects_saved() > 0);
     // ...the sibling audit must not refute any class...

@@ -75,5 +75,5 @@ pub use error::CircuitError;
 pub use netlist::{device_param_issue, Device, DeviceId, MosPolarity, Netlist, NodeId, SourceWave};
 pub use rng::Rng;
 pub use topology::{DisjointSet, Topology};
-pub use transient::{Integrator, TransientOptions, TransientSim};
+pub use transient::{Integrator, LinearTransient, TransientOptions, TransientSim};
 pub use waveform::{Trace, TraceSet};

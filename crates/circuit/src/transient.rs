@@ -30,10 +30,10 @@
 //! # Ok::<(), symbist_circuit::error::CircuitError>(())
 //! ```
 
-use crate::dc::{DcOptions, DcSolver, Operating};
+use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating};
 use crate::error::CircuitError;
-use crate::mna::{CapCompanion, MnaEngine};
-use crate::netlist::{Device, DeviceId, Netlist, NodeId};
+use crate::mna::{Assembler, AssemblyCtx, CapCompanion, MnaEngine, Thermal, T_NOMINAL_K};
+use crate::netlist::{Device, DeviceId, Netlist, NodeId, SourceWave};
 use crate::waveform::{Trace, TraceSet};
 
 /// Numerical integration method for capacitors.
@@ -351,10 +351,398 @@ impl TransientSim {
     }
 }
 
+/// Backward-Euler transient stepping of a *linear* netlist through
+/// per-phase step operators.
+///
+/// Without diodes or MOSFETs, one backward-Euler step solves
+/// `A·x' = Bs·s + Bu·u`, where `s` holds the capacitor voltages of the
+/// previous step (through their `C/dt` companions) and `u` the source
+/// values at the new time. `A` depends only on the linear device values —
+/// resistors, switch states, capacitors, controlled-source gains — and
+/// `gmin`, so while none of them changes (one switch phase) a step is the
+/// affine map
+///
+/// ```text
+/// s' = Ks·s + Hs·u        x' = Kx·s + Hx·u
+/// ```
+///
+/// The maps come from one dense LU factorization of `A` and one back-solve
+/// per capacitor and per source, and are rebuilt only when a linear device
+/// value changed since the previous step. A step is then a
+/// `k × (k + n_src)` mat-vec over the capacitor voltages; node voltages
+/// are evaluated on demand from the last step's `(s, u)`.
+///
+/// The contract is [`TransientSim`]'s under backward Euler with default
+/// options: the same DC starting point and errors, one Newton iteration
+/// charged to the thread [`crate::dc::SolveBudget`] per step, and the same
+/// step counter. Between steps a controller may flip switches and change
+/// device or source values; the device list and its connections must stay
+/// fixed. `TransientSim` remains the general engine (nonlinear devices,
+/// trapezoidal integration, `use_ic`, variable `dt`) and this type's
+/// differential oracle.
+///
+/// # Examples
+///
+/// ```
+/// use symbist_circuit::netlist::{Netlist, SourceWave};
+/// use symbist_circuit::transient::LinearTransient;
+/// use symbist_circuit::Device;
+///
+/// // Starts at the 0 V operating point, then the source steps to 1 V:
+/// // RC charging through 1 kΩ into 1 nF (τ = 1 µs).
+/// let mut nl = Netlist::new();
+/// let src = nl.node("src");
+/// let out = nl.node("out");
+/// let v = nl.vsource(src, Netlist::GND, 0.0);
+/// nl.resistor(src, out, 1e3);
+/// nl.capacitor(out, Netlist::GND, 1e-9);
+/// let mut sim = LinearTransient::new(&nl, 1e-8)?;
+/// if let Device::VSource { wave, .. } = nl.device_mut(v) {
+///     *wave = SourceWave::Dc(1.0);
+/// }
+/// while sim.time() < 1e-6 {
+///     sim.step(&nl)?;
+/// }
+/// assert!((sim.voltage(out) - (1.0 - (-1.0f64).exp())).abs() < 5e-3);
+/// # Ok::<(), symbist_circuit::error::CircuitError>(())
+/// ```
+#[derive(Debug)]
+pub struct LinearTransient {
+    asm: Assembler,
+    dt: f64,
+    time: f64,
+    /// MNA indices of each capacitor's terminals (`None` for ground), in
+    /// device order.
+    caps: Vec<(Option<usize>, Option<usize>)>,
+    /// Per-device linear value the maps were built from (one per device,
+    /// so its length is the device count the sim was built for).
+    fingerprint: Vec<f64>,
+    /// Set when a linear value changed and the maps are not yet rebuilt.
+    stale: bool,
+    /// `[Ks | Hs]`, row-major, `k × (k + n_src)`.
+    state_map: Vec<f64>,
+    /// `[Kx | Hx]`, row-major, `dim × (k + n_src)`.
+    solution_map: Vec<f64>,
+    /// Capacitor voltages at the current time.
+    s: Vec<f64>,
+    /// Source values at the time being stepped to.
+    u: Vec<f64>,
+    /// `[s; u]` of the last step: the solution is `solution_map · z`.
+    z: Vec<f64>,
+    /// The DC operating point, which is the solution until the first step.
+    initial: Option<Vec<f64>>,
+    steps_taken: u64,
+}
+
+impl Drop for LinearTransient {
+    fn drop(&mut self) {
+        symbist_obs::counter!(
+            "symbist_solver_transient_steps_total",
+            "Transient integration steps taken"
+        )
+        .add(self.steps_taken);
+    }
+}
+
+/// The value through which a device enters the MNA matrix; a change means
+/// the step maps are stale. Sources only enter the right-hand side.
+fn linear_value(dev: &Device) -> f64 {
+    match dev {
+        Device::Resistor { ohms, .. } => *ohms,
+        Device::Switch {
+            closed,
+            r_on,
+            r_off,
+            ..
+        } => {
+            if *closed {
+                *r_on
+            } else {
+                *r_off
+            }
+        }
+        Device::Capacitor { farads, .. } => *farads,
+        Device::Vcvs { gain, .. } => *gain,
+        Device::Vccs { gm, .. } => *gm,
+        _ => 0.0,
+    }
+}
+
+fn nonlinear_device(id: DeviceId) -> CircuitError {
+    CircuitError::InvalidConfig {
+        reason: format!("linear transient cannot step nonlinear device {id:?}"),
+    }
+}
+
+/// How [`TransientSim::step`] reports a failed linear step.
+fn step_failed() -> CircuitError {
+    CircuitError::NoConvergence {
+        analysis: "transient step",
+        iterations: DcOptions::default().max_iter,
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+impl LinearTransient {
+    /// Initializes the simulation at `t = 0` from the DC operating point,
+    /// exactly as [`TransientSim::new`] does with default options.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::InvalidConfig`] if `dt` is not strictly
+    /// positive or the netlist holds a diode or MOSFET, and the DC
+    /// solver's error if the operating point cannot be solved.
+    pub fn new(netlist: &Netlist, dt: f64) -> Result<Self, CircuitError> {
+        if !(dt.is_finite() && dt > 0.0) {
+            return Err(CircuitError::InvalidConfig {
+                reason: format!("time step must be > 0, got {dt}"),
+            });
+        }
+        if let Some((id, _)) = netlist.iter().find(|(_, d)| d.is_nonlinear()) {
+            return Err(nonlinear_device(id));
+        }
+        let op = DcSolver::new().solve(netlist)?;
+        let asm = Assembler::new(netlist);
+        let caps: Vec<_> = netlist
+            .iter()
+            .filter_map(|(_, dev)| match dev {
+                Device::Capacitor { a, b, .. } => {
+                    Some((asm.layout.node_index(*a), asm.layout.node_index(*b)))
+                }
+                _ => None,
+            })
+            .collect();
+        let n_src = netlist
+            .iter()
+            .filter(|(_, d)| matches!(d, Device::VSource { .. } | Device::ISource { .. }))
+            .count();
+        let x = op.raw().to_vec();
+        let at = |i: Option<usize>| i.map_or(0.0, |i| x[i]);
+        let s: Vec<f64> = caps.iter().map(|&(a, b)| at(a) - at(b)).collect();
+        let width = caps.len() + n_src;
+        Ok(Self {
+            dt,
+            time: 0.0,
+            fingerprint: vec![f64::NAN; netlist.device_count()],
+            stale: true,
+            state_map: vec![0.0; caps.len() * width],
+            solution_map: vec![0.0; asm.layout.dim * width],
+            u: vec![0.0; n_src],
+            z: vec![0.0; width],
+            s,
+            caps,
+            asm,
+            initial: Some(x),
+            steps_taken: 0,
+        })
+    }
+
+    /// Current simulation time in seconds.
+    pub fn time(&self) -> f64 {
+        self.time
+    }
+
+    /// Voltage of a node at the current time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is out of range for the simulated netlist.
+    pub fn voltage(&self, n: NodeId) -> f64 {
+        if n.is_ground() {
+            return 0.0;
+        }
+        assert!(
+            n.index() < self.asm.layout.node_count,
+            "node {n} out of range"
+        );
+        let i = n.index() - 1;
+        match &self.initial {
+            Some(x) => x[i],
+            None => {
+                let w = self.z.len();
+                dot(&self.solution_map[i * w..(i + 1) * w], &self.z)
+            }
+        }
+    }
+
+    /// Advances one time step.
+    ///
+    /// The caller may have flipped switches or changed device and source
+    /// values in `netlist` since the previous call; the step maps are
+    /// rebuilt only if a matrix value changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::BudgetExhausted`] when the thread budget
+    /// runs out, [`CircuitError::NoConvergence`] when the step matrix is
+    /// singular or the step leaves non-finite values (as
+    /// [`TransientSim::step`] reports a failed linear step), and
+    /// [`CircuitError::InvalidConfig`] if a device became nonlinear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist's device count changed since construction.
+    pub fn step(&mut self, netlist: &Netlist) -> Result<(), CircuitError> {
+        self.advance(netlist, 1)
+    }
+
+    /// Advances `steps` time steps; the same as calling
+    /// [`LinearTransient::step`] `steps` times, except that the device
+    /// values are read once when every source is DC (the netlist cannot
+    /// change while it is borrowed here). Each step charges the budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearTransient::step`]; the steps before the failing one
+    /// stand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist's device count changed since construction.
+    pub fn advance(&mut self, netlist: &Netlist, steps: usize) -> Result<(), CircuitError> {
+        assert_eq!(
+            netlist.device_count(),
+            self.fingerprint.len(),
+            "netlist topology changed mid-simulation"
+        );
+        let mut inputs_fixed = false;
+        for _ in 0..steps {
+            let t_next = self.time + self.dt;
+            if !inputs_fixed {
+                inputs_fixed = self.read_devices(netlist, t_next)?;
+            }
+            charge_newton_iteration()?;
+            if self.stale {
+                self.rebuild(netlist, t_next)?;
+            }
+            let k = self.s.len();
+            self.z[..k].copy_from_slice(&self.s);
+            self.z[k..].copy_from_slice(&self.u);
+            let w = self.z.len();
+            for (s, row) in self.s.iter_mut().zip(self.state_map.chunks_exact(w)) {
+                *s = dot(row, &self.z);
+            }
+            if !self.s.iter().all(|v| v.is_finite()) {
+                return Err(step_failed());
+            }
+            self.initial = None;
+            self.time = t_next;
+            self.steps_taken += 1;
+        }
+        Ok(())
+    }
+
+    /// Reads the source values at `t_next` and marks the maps stale if a
+    /// matrix value changed. Returns whether every source is DC, i.e.
+    /// whether the inputs stay fixed for as long as the netlist does.
+    fn read_devices(&mut self, netlist: &Netlist, t_next: f64) -> Result<bool, CircuitError> {
+        let mut all_dc = true;
+        let mut src = 0;
+        for ((id, dev), seen) in netlist.iter().zip(self.fingerprint.iter_mut()) {
+            let v = match dev {
+                Device::VSource { wave, .. } | Device::ISource { wave, .. } => {
+                    all_dc &= matches!(wave, SourceWave::Dc(_));
+                    self.u[src] = wave.at(t_next);
+                    src += 1;
+                    continue;
+                }
+                Device::Diode { .. } | Device::Mosfet { .. } => return Err(nonlinear_device(id)),
+                other => linear_value(other),
+            };
+            if seen.to_bits() != v.to_bits() {
+                *seen = v;
+                self.stale = true;
+            }
+        }
+        Ok(all_dc)
+    }
+
+    /// Factors the step matrix with the current device values and solves
+    /// one column of `[Kx | Hx]` per capacitor, then per source.
+    fn rebuild(&mut self, netlist: &Netlist, t_next: f64) -> Result<(), CircuitError> {
+        let companions: Vec<Option<CapCompanion>> = netlist
+            .iter()
+            .map(|(_, dev)| match dev {
+                Device::Capacitor { farads, .. } => Some(CapCompanion {
+                    g: farads / self.dt,
+                    ieq: 0.0,
+                }),
+                _ => None,
+            })
+            .collect();
+        let ctx = AssemblyCtx {
+            time: t_next,
+            source_scale: 0.0,
+            gmin: DcOptions::default().gmin,
+            guess: &[],
+            cap_companion: &companions,
+            // Only diodes and MOSFETs depend on temperature.
+            thermal: Thermal::new(T_NOMINAL_K),
+        };
+        self.asm.assemble(netlist, &ctx);
+        let lu = self.asm.matrix.lu().map_err(|_| step_failed())?;
+
+        let layout = &self.asm.layout;
+        let w = self.z.len();
+        let mut rhs = vec![0.0; layout.dim];
+        let mut column = 0;
+        let mut solve_column = |rhs: &mut Vec<f64>, map: &mut [f64]| {
+            let x = lu.solve(rhs);
+            for (r, v) in x.into_iter().enumerate() {
+                map[r * w + column] = v;
+            }
+            rhs.fill(0.0);
+            column += 1;
+        };
+        // A companion injects `ieq = g·v_prev` into terminal `a` and draws
+        // it from `b`.
+        for ((_, dev), comp) in netlist.iter().zip(&companions) {
+            if let (Device::Capacitor { a, b, .. }, Some(comp)) = (dev, comp) {
+                if let Some(i) = layout.node_index(*a) {
+                    rhs[i] += comp.g;
+                }
+                if let Some(i) = layout.node_index(*b) {
+                    rhs[i] -= comp.g;
+                }
+                solve_column(&mut rhs, &mut self.solution_map);
+            }
+        }
+        for (id, dev) in netlist.iter() {
+            match dev {
+                Device::VSource { .. } => rhs[layout.branch_index(id)] = 1.0,
+                Device::ISource { p, n, .. } => {
+                    if let Some(i) = layout.node_index(*p) {
+                        rhs[i] -= 1.0;
+                    }
+                    if let Some(i) = layout.node_index(*n) {
+                        rhs[i] += 1.0;
+                    }
+                }
+                _ => continue,
+            }
+            solve_column(&mut rhs, &mut self.solution_map);
+        }
+
+        let row = |i: Option<usize>| i.map(|i| &self.solution_map[i * w..(i + 1) * w]);
+        for (&(a, b), out) in self.caps.iter().zip(self.state_map.chunks_exact_mut(w)) {
+            for (c, o) in out.iter_mut().enumerate() {
+                *o = row(a).map_or(0.0, |r| r[c]) - row(b).map_or(0.0, |r| r[c]);
+            }
+        }
+        if !self.solution_map.iter().all(|v| v.is_finite()) {
+            return Err(step_failed());
+        }
+        self.stale = false;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::SourceWave;
 
     #[test]
     fn rc_step_response_be() {
@@ -549,5 +937,11 @@ mod tests {
         let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
         assert!(sim.set_dt(-1.0).is_err());
         assert!(sim.set_dt(1e-9).is_ok());
+        for dt in [0.0, -1e-9, f64::NAN] {
+            assert!(matches!(
+                LinearTransient::new(&nl, dt),
+                Err(CircuitError::InvalidConfig { .. })
+            ));
+        }
     }
 }
