@@ -506,24 +506,18 @@ impl ScSession {
     }
 
     fn run_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
-        if !self.record {
-            // The sides are independent circuits: each can take its steps
-            // in one call.
-            for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
-                sim.advance(&circuit.nl, steps)?;
-            }
-            return Ok(());
-        }
         for _ in 0..steps {
             for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
                 sim.step(&circuit.nl)?;
             }
-            let vp = self.sims[0].voltage(self.circuits[0].top);
-            let vn = self.sims[1].voltage(self.circuits[1].top);
-            let t = self.sims[0].time();
-            self.traces.dac_p.push(t, vp);
-            self.traces.dac_n.push(t, vn);
-            self.traces.sum.push(t, vp + vn);
+            if self.record {
+                let vp = self.sims[0].voltage(self.circuits[0].top);
+                let vn = self.sims[1].voltage(self.circuits[1].top);
+                let t = self.sims[0].time();
+                self.traces.dac_p.push(t, vp);
+                self.traces.dac_n.push(t, vn);
+                self.traces.sum.push(t, vp + vn);
+            }
         }
         Ok(())
     }

@@ -33,7 +33,7 @@
 use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating};
 use crate::error::CircuitError;
 use crate::mna::{Assembler, AssemblyCtx, CapCompanion, MnaEngine, Thermal, T_NOMINAL_K};
-use crate::netlist::{Device, DeviceId, Netlist, NodeId, SourceWave};
+use crate::netlist::{Device, DeviceId, Netlist, NodeId};
 use crate::waveform::{Trace, TraceSet};
 
 /// Numerical integration method for capacitors.
@@ -586,65 +586,40 @@ impl LinearTransient {
     ///
     /// Panics if the netlist's device count changed since construction.
     pub fn step(&mut self, netlist: &Netlist) -> Result<(), CircuitError> {
-        self.advance(netlist, 1)
-    }
-
-    /// Advances `steps` time steps; the same as calling
-    /// [`LinearTransient::step`] `steps` times, except that the device
-    /// values are read once when every source is DC (the netlist cannot
-    /// change while it is borrowed here). Each step charges the budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearTransient::step`]; the steps before the failing one
-    /// stand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist's device count changed since construction.
-    pub fn advance(&mut self, netlist: &Netlist, steps: usize) -> Result<(), CircuitError> {
         assert_eq!(
             netlist.device_count(),
             self.fingerprint.len(),
             "netlist topology changed mid-simulation"
         );
-        let mut inputs_fixed = false;
-        for _ in 0..steps {
-            let t_next = self.time + self.dt;
-            if !inputs_fixed {
-                inputs_fixed = self.read_devices(netlist, t_next)?;
-            }
-            charge_newton_iteration()?;
-            if self.stale {
-                self.rebuild(netlist, t_next)?;
-            }
-            let k = self.s.len();
-            self.z[..k].copy_from_slice(&self.s);
-            self.z[k..].copy_from_slice(&self.u);
-            let w = self.z.len();
-            for (s, row) in self.s.iter_mut().zip(self.state_map.chunks_exact(w)) {
-                *s = dot(row, &self.z);
-            }
-            if !self.s.iter().all(|v| v.is_finite()) {
-                return Err(step_failed());
-            }
-            self.initial = None;
-            self.time = t_next;
-            self.steps_taken += 1;
+        let t_next = self.time + self.dt;
+        self.read_devices(netlist, t_next)?;
+        charge_newton_iteration()?;
+        if self.stale {
+            self.rebuild(netlist, t_next)?;
         }
+        let k = self.s.len();
+        self.z[..k].copy_from_slice(&self.s);
+        self.z[k..].copy_from_slice(&self.u);
+        let w = self.z.len();
+        for (s, row) in self.s.iter_mut().zip(self.state_map.chunks_exact(w)) {
+            *s = dot(row, &self.z);
+        }
+        if !self.s.iter().all(|v| v.is_finite()) {
+            return Err(step_failed());
+        }
+        self.initial = None;
+        self.time = t_next;
+        self.steps_taken += 1;
         Ok(())
     }
 
     /// Reads the source values at `t_next` and marks the maps stale if a
-    /// matrix value changed. Returns whether every source is DC, i.e.
-    /// whether the inputs stay fixed for as long as the netlist does.
-    fn read_devices(&mut self, netlist: &Netlist, t_next: f64) -> Result<bool, CircuitError> {
-        let mut all_dc = true;
+    /// matrix value changed.
+    fn read_devices(&mut self, netlist: &Netlist, t_next: f64) -> Result<(), CircuitError> {
         let mut src = 0;
         for ((id, dev), seen) in netlist.iter().zip(self.fingerprint.iter_mut()) {
             let v = match dev {
                 Device::VSource { wave, .. } | Device::ISource { wave, .. } => {
-                    all_dc &= matches!(wave, SourceWave::Dc(_));
                     self.u[src] = wave.at(t_next);
                     src += 1;
                     continue;
@@ -657,7 +632,7 @@ impl LinearTransient {
                 self.stale = true;
             }
         }
-        Ok(all_dc)
+        Ok(())
     }
 
     /// Factors the step matrix with the current device values and solves
@@ -743,6 +718,7 @@ impl LinearTransient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::SourceWave;
 
     #[test]
     fn rc_step_response_be() {

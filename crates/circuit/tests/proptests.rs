@@ -328,8 +328,7 @@ impl LinearDeck {
 }
 
 /// The step operator tracks backward-Euler `TransientSim` at every node
-/// and every step, through switch flips and source changes, and a
-/// multi-step `advance` equals as many single steps.
+/// and every step, through switch flips and source changes.
 #[test]
 fn linear_transient_matches_transient_sim() {
     for seed in 0u64..200 {
@@ -354,11 +353,7 @@ fn linear_transient_matches_transient_sim() {
             oracle.step(&deck.nl).unwrap();
             fast.step(&deck.nl).unwrap();
         }
-        for _ in 0..25 {
-            oracle.step(&deck.nl).unwrap();
-        }
-        fast.advance(&deck.nl, 25).unwrap();
-        check(&oracle, &fast, 85);
+        check(&oracle, &fast, 60);
     }
 }
 
