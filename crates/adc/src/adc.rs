@@ -61,8 +61,9 @@ pub struct TestObservation {
 ///
 /// let adc = SarAdc::new(AdcConfig::default());
 /// // Convert a mid-scale differential input.
-/// let code = adc.convert(0.0);
+/// let code = adc.try_convert(0.0)?;
 /// assert!((500..560).contains(&code), "mid-scale code {code}");
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct SarAdc {
@@ -404,17 +405,6 @@ impl SarAdc {
     /// held at the DC value `din` (externally supplied, common mode at the
     /// nominal `vcm`), a 5-bit counter sweeps all 32 codes onto both
     /// sub-DACs, and every invariance node is observed per code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analog simulation fails; campaign code should use
-    /// [`SarAdc::try_symbist_observations`].
-    pub fn symbist_observations(&self, din: f64) -> Vec<TestObservation> {
-        self.try_symbist_observations(din)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SarAdc::symbist_observations`].
     pub fn try_symbist_observations(&self, din: f64) -> Result<Vec<TestObservation>, CircuitError> {
         let mut stream = self.try_observation_stream(din)?;
         (0..32u8).map(|c| stream.try_observe(c).copied()).collect()
@@ -428,18 +418,8 @@ impl SarAdc {
     /// makes stop-on-detection genuinely cheaper: a defect caught at
     /// counter code 3 costs 4 conversion cycles of simulation, not 32.
     ///
-    /// # Panics
-    ///
-    /// Panics if the analog simulation fails; campaign code should use
-    /// [`SarAdc::try_observation_stream`].
-    pub fn observation_stream(&self, din: f64) -> ObservationStream<'_> {
-        self.try_observation_stream(din)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SarAdc::observation_stream`]: an injected defect
-    /// that leaves the reference network singular or the SC array without
-    /// an operating point surfaces here as `Err` instead of a panic.
+    /// An injected defect that leaves the reference network singular or
+    /// the SC array without an operating point surfaces as `Err`.
     pub fn try_observation_stream(&self, din: f64) -> Result<ObservationStream<'_>, CircuitError> {
         let vbg = self.vbg()?;
         let vcm_v = self.vcm.solve(self.vrefp(vbg)?)?;
@@ -456,17 +436,6 @@ impl SarAdc {
 
     /// Full-waveform run of the invariance-I3 signal `DAC+ + DAC−` over the
     /// counter stimulus — the paper's Fig. 5 trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analog simulation fails; campaign code should use
-    /// [`SarAdc::try_invariance3_trace`].
-    pub fn invariance3_trace(&self, din: f64) -> ScTraces {
-        self.try_invariance3_trace(din)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SarAdc::invariance3_trace`].
     pub fn try_invariance3_trace(&self, din: f64) -> Result<ScTraces, CircuitError> {
         let vbg = self.vbg()?;
         let vcm_v = self.vcm.solve(self.vrefp(vbg)?)?;
@@ -493,17 +462,6 @@ impl SarAdc {
     /// frame: sample, ten comparator-in-the-loop bit decisions, capture.
     ///
     /// Returns the captured 10-bit output code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analog simulation fails; campaign code should use
-    /// [`SarAdc::try_convert`].
-    pub fn convert(&self, din: f64) -> u16 {
-        self.try_convert(din)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SarAdc::convert`].
     pub fn try_convert(&self, din: f64) -> Result<u16, CircuitError> {
         let vbg = self.vbg()?;
         let vcm_v = self.vcm.solve(self.vrefp(vbg)?)?;
@@ -553,7 +511,7 @@ impl SarAdc {
 }
 
 /// A lazily-advanced run of the counter stimulus; see
-/// [`SarAdc::observation_stream`].
+/// [`SarAdc::try_observation_stream`].
 #[derive(Debug)]
 pub struct ObservationStream<'a> {
     adc: &'a SarAdc,
@@ -565,17 +523,6 @@ pub struct ObservationStream<'a> {
 impl ObservationStream<'_> {
     /// Observes counter code `code`, advancing the analog simulation as
     /// needed. Earlier codes are computed (and cached) on the way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code >= 32` or the analog simulation fails; campaign
-    /// code should use [`ObservationStream::try_observe`].
-    pub fn observe(&mut self, code: u8) -> &TestObservation {
-        self.try_observe(code)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`ObservationStream::observe`].
     ///
     /// # Panics
     ///
@@ -701,9 +648,9 @@ mod tests {
     }
 
     #[test]
-    fn observations_satisfy_all_invariances_when_healthy() {
+    fn observations_satisfy_all_invariances_when_healthy() -> Result<(), CircuitError> {
         let a = adc();
-        let obs = a.symbist_observations(0.05);
+        let obs = a.try_symbist_observations(0.05)?;
         assert_eq!(obs.len(), 32);
         for o in &obs {
             assert!(
@@ -742,40 +689,43 @@ mod tests {
                 o.code
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn conversion_is_monotone_and_centered() {
+    fn conversion_is_monotone_and_centered() -> Result<(), CircuitError> {
         let a = adc();
-        let codes: Vec<u16> = [-0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9]
+        let codes = [-0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9]
             .iter()
-            .map(|d| a.convert(*d))
-            .collect();
+            .map(|d| a.try_convert(*d))
+            .collect::<Result<Vec<u16>, _>>()?;
         assert!(
             codes.windows(2).all(|w| w[1] >= w[0]),
             "monotone: {codes:?}"
         );
         // ΔIN = 0 → code near 528 (the architectural midpoint).
         assert!((codes[3] as i32 - 528).abs() <= 2, "mid code {}", codes[3]);
+        Ok(())
     }
 
     #[test]
-    fn conversion_matches_ideal_levels() {
+    fn conversion_matches_ideal_levels() -> Result<(), CircuitError> {
         let a = adc();
         for target in [100u16, 300, 528, 700, 1000] {
             // An input exactly between level(target−1) and level(target)
             // must convert to the target (within 1 LSB of settling error).
             let din = (a.ideal_level(target) + a.ideal_level(target.saturating_sub(1))) / 2.0;
-            let got = a.convert(din);
+            let got = a.try_convert(din)?;
             assert!(
                 (got as i32 - target as i32).abs() <= 1,
                 "target {target} got {got}"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn inject_routes_to_the_right_block() {
+    fn inject_routes_to_the_right_block() -> Result<(), CircuitError> {
         let mut a = adc();
         // Find a Vcm-generator resistor and short it.
         let idx = a
@@ -788,7 +738,7 @@ mod tests {
             kind: DefectKind::Short,
         });
         assert!(a.injected().is_some());
-        let obs = a.symbist_observations(0.0);
+        let obs = a.try_symbist_observations(0.0)?;
         // Vcm defect: I3 deviates for every code (Fig. 5's always-detectable case).
         for o in &obs {
             assert!(
@@ -798,8 +748,9 @@ mod tests {
             );
         }
         a.clear_defects();
-        let obs = a.symbist_observations(0.0);
+        let obs = a.try_symbist_observations(0.0)?;
         assert!((obs[5].dac_plus + obs[5].dac_minus - 2.0 * obs[5].vref16).abs() < 5e-3);
+        Ok(())
     }
 
     #[test]
@@ -817,15 +768,16 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_instances_stay_within_window_scale() {
+    fn mismatch_instances_stay_within_window_scale() -> Result<(), CircuitError> {
         let mut rng = Rng::seed_from_u64(42);
         let a = SarAdc::with_mismatch(AdcConfig::default(), &mut rng);
-        let obs = a.symbist_observations(0.0);
+        let obs = a.try_symbist_observations(0.0)?;
         for o in &obs {
             // Mismatch moves invariance signals by millivolts, not tenths.
             assert!((o.m_plus + o.m_minus - o.vref32).abs() < 0.02);
             assert!((o.dac_plus + o.dac_minus - 2.0 * o.vref16).abs() < 0.03);
         }
+        Ok(())
     }
 
     /// Poisons `ref_cache` the only way a real campaign can: a worker
@@ -842,36 +794,38 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_ref_cache_recovers_on_the_solve_path() {
+    fn poisoned_ref_cache_recovers_on_the_solve_path() -> Result<(), CircuitError> {
         let a = adc();
         // Warm the cache so recovery reuses real entries, not an empty map.
-        let healthy_code = a.convert(0.1);
-        let healthy_obs = a.symbist_observations(0.05);
+        let healthy_code = a.try_convert(0.1)?;
+        let healthy_obs = a.try_symbist_observations(0.05)?;
         poison_ref_cache(&a);
 
         // Every read/write site goes through `into_inner`, so a poisoned
         // cache degrades to nothing: same codes, same observations.
-        assert_eq!(a.convert(0.1), healthy_code);
-        assert_eq!(a.symbist_observations(0.05), healthy_obs);
+        assert_eq!(a.try_convert(0.1)?, healthy_code);
+        assert_eq!(a.try_symbist_observations(0.05)?, healthy_obs);
+        Ok(())
     }
 
     #[test]
-    fn clone_of_a_poisoned_adc_carries_a_healthy_cache() {
+    fn clone_of_a_poisoned_adc_carries_a_healthy_cache() -> Result<(), CircuitError> {
         let a = adc();
-        let healthy_code = a.convert(0.0);
+        let healthy_code = a.try_convert(0.0)?;
         poison_ref_cache(&a);
 
         // Clone reads the poisoned map via `into_inner` and wraps the
         // copy in a *fresh* mutex: the poison flag must not propagate.
         let b = a.clone();
         assert!(b.ref_cache.lock().is_ok(), "clone must not inherit poison");
-        assert_eq!(b.convert(0.0), healthy_code);
+        assert_eq!(b.try_convert(0.0)?, healthy_code);
+        Ok(())
     }
 
     #[test]
-    fn state_changes_still_invalidate_a_poisoned_cache() {
+    fn state_changes_still_invalidate_a_poisoned_cache() -> Result<(), CircuitError> {
         let mut a = adc();
-        let _ = a.convert(0.0); // warm
+        a.try_convert(0.0)?; // warm
         poison_ref_cache(&a);
 
         // `inject` must both survive the poison and clear the now-stale
@@ -886,7 +840,7 @@ mod tests {
             0,
             "inject must clear the poisoned cache"
         );
-        let _ = a.symbist_observations(0.0); // repopulates through the poison
+        a.try_symbist_observations(0.0)?; // repopulates through the poison
         assert!(!a
             .ref_cache
             .lock()
@@ -901,24 +855,26 @@ mod tests {
         );
 
         let mut rng = Rng::seed_from_u64(7);
-        let _ = a.convert(0.0); // warm again
+        a.try_convert(0.0)?; // warm again
         a.apply_mismatch(&AdcMismatch::sample(&mut rng));
         assert_eq!(
             a.ref_cache.lock().unwrap_or_else(|e| e.into_inner()).len(),
             0,
             "apply_mismatch must clear the poisoned cache"
         );
+        Ok(())
     }
 
     #[test]
-    fn fig5_trace_has_32_conversion_cycles() {
+    fn fig5_trace_has_32_conversion_cycles() -> Result<(), CircuitError> {
         let a = adc();
-        let tr = a.invariance3_trace(0.1);
+        let tr = a.try_invariance3_trace(0.1)?;
         assert_eq!(tr.settled.len(), 32);
         assert!(!tr.sum.is_empty());
         // Total time: 33 cycles (1 sample + 32 codes).
         let expect = 33.0 / a.config().fclk;
         let last = *tr.sum.times().last().unwrap();
         assert!((last - expect).abs() < 2.0 / a.config().fclk);
+        Ok(())
     }
 }

@@ -48,18 +48,8 @@ impl BandgapIp {
 
     /// The conventional production test: the output must sit within
     /// ±`tolerance` (relative) of nominal. Returns `true` when the DUT
-    /// passes (i.e. a defect *escapes* when this returns `true`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solve is cut short by a budget; campaign code should
-    /// use [`BandgapIp::try_passes_dc_test`].
-    pub fn passes_dc_test(&self, tolerance: f64) -> bool {
-        self.try_passes_dc_test(tolerance)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`BandgapIp::passes_dc_test`].
+    /// passes (i.e. a defect *escapes* when this returns `true`). A solve
+    /// cut short by a budget surfaces as `Err`.
     pub fn try_passes_dc_test(&self, tolerance: f64) -> Result<bool, CircuitError> {
         let v = self.inner.solve()?.vbg;
         Ok((v - self.nominal).abs() <= tolerance * self.nominal)
@@ -294,21 +284,22 @@ mod tests {
     }
 
     #[test]
-    fn bandgap_ip_dc_test_catches_shorts() {
+    fn bandgap_ip_dc_test_catches_shorts() -> Result<(), CircuitError> {
         let mut ip = BandgapIp::new(&cfg());
-        assert!(ip.passes_dc_test(0.05), "healthy must pass");
+        assert!(ip.try_passes_dc_test(0.05)?, "healthy must pass");
         // Output-diode short collapses VBG → caught.
         ip.inject(DefectSite {
             component: 2,
             kind: DefectKind::Short,
         });
-        assert!(!ip.passes_dc_test(0.05));
+        assert!(!ip.try_passes_dc_test(0.05)?);
         ip.clear_defects();
-        assert!(ip.passes_dc_test(0.05));
+        assert!(ip.try_passes_dc_test(0.05)?);
+        Ok(())
     }
 
     #[test]
-    fn bandgap_ip_startup_open_escapes() {
+    fn bandgap_ip_startup_open_escapes() -> Result<(), CircuitError> {
         let mut ip = BandgapIp::new(&cfg());
         let startup = ip
             .components()
@@ -319,7 +310,11 @@ mod tests {
             component: startup,
             kind: DefectKind::OpenDrain,
         });
-        assert!(ip.passes_dc_test(0.05), "start-up open has no DC signature");
+        assert!(
+            ip.try_passes_dc_test(0.05)?,
+            "start-up open has no DC signature"
+        );
+        Ok(())
     }
 
     #[test]

@@ -30,12 +30,13 @@
 //! use symbist_adc::fault::{DefectKind, DefectSite, Faultable};
 //!
 //! let mut adc = SarAdc::new(AdcConfig::default());
-//! assert!(adc.convert(0.3) > adc.convert(-0.3));
+//! assert!(adc.try_convert(0.3)? > adc.try_convert(-0.3)?);
 //!
 //! // Inject the paper's defect model at any catalog site.
 //! let site = DefectSite { component: 0, kind: DefectKind::Short };
 //! adc.inject(site);
 //! assert_eq!(adc.injected(), Some(site));
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -31,7 +31,11 @@ fn main() {
 
     let bist = engine();
     let healthy = SarAdc::new(AdcConfig::default());
-    h.bench("bist_run_healthy_full", || bist.run(&healthy, false).pass);
+    h.bench("bist_run_healthy_full", || {
+        bist.try_run(&healthy, false)
+            .expect("BIST run simulates")
+            .pass
+    });
 
     let mut defective = healthy.clone();
     let site = defective
@@ -44,7 +48,9 @@ fn main() {
         kind: DefectKind::Short,
     });
     h.bench("bist_run_defective_stop_on_detect", || {
-        bist.run(&defective, true).pass
+        bist.try_run(&defective, true)
+            .expect("BIST run simulates")
+            .pass
     });
 
     let cfg = AdcConfig::default();

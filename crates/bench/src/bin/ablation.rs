@@ -57,7 +57,9 @@ fn main() {
         for d in uni.iter() {
             let mut dut = adc.clone();
             symbist_adc::fault::Faultable::inject(&mut dut, d.site);
-            let r = engine.run(&dut, stop);
+            let r = engine
+                .try_run(&dut, stop)
+                .expect("SC-array defects simulate to completion");
             cycles_total += u64::from(r.cycles_run);
         }
         println!(

@@ -52,7 +52,9 @@ fn main() {
         let d = &universe.defects()[i];
         let mut dut = base.clone();
         dut.inject(d.site);
-        let result = engine.run(&dut, false);
+        let result = engine
+            .try_run(&dut, false)
+            .expect("field-return defects simulate to completion");
         let observed = Signature::from_result(&result, engine.calibration());
         if observed.is_clean() {
             continue;

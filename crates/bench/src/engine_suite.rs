@@ -192,12 +192,16 @@ pub fn run(h: &mut Harness) {
     // The solvers are buried inside the ADC models, so the thread-default
     // override flips the whole stack between the engines.
     let adc = SarAdc::new(AdcConfig::default());
+    let convert = || adc.try_convert(0.123).expect("the healthy ADC converts");
     let prev = set_thread_default_engine(EngineChoice::Dense);
-    h.bench("sar_conversion_10bit/dense", || adc.convert(0.123));
+    h.bench("sar_conversion_10bit/dense", convert);
     set_thread_default_engine(EngineChoice::Sparse);
-    h.bench("sar_conversion_10bit/sparse", || adc.convert(0.123));
+    h.bench("sar_conversion_10bit/sparse", convert);
     set_thread_default_engine(prev);
-    h.bench("adc_symbist_observations", || adc.symbist_observations(0.2));
+    h.bench("adc_symbist_observations", || {
+        adc.try_symbist_observations(0.2)
+            .expect("the healthy ADC simulates")
+    });
 }
 
 /// Derived dense-over-sparse speedup ratios for the JSON report.

@@ -10,6 +10,8 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use symbist_obs::write_json_str;
+
 /// Timing summary of one benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -155,30 +157,27 @@ impl Harness {
     /// Hand-rolled on purpose: the schema is flat and a serde dependency is
     /// not available offline.
     pub fn to_json(&self, suite: &str, derived: &[(&str, f64)]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"suite\": {},", json_string(suite));
-        out.push_str("  \"results\": [\n");
+        let mut out = String::from("{\n  \"suite\": ");
+        let _ = write_json_str(&mut out, suite);
+        out.push_str(",\n  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
+            out.push_str("    {\"name\": ");
+            let _ = write_json_str(&mut out, &r.name);
             let _ = writeln!(
                 out,
-                "    {{\"name\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
+                ", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
                  \"min_ns\": {:.1}, \"iters_per_batch\": {}, \"batches\": {}}}{}",
-                json_string(&r.name),
-                r.median_ns,
-                r.mean_ns,
-                r.min_ns,
-                r.iters_per_batch,
-                r.batches,
-                comma
+                r.median_ns, r.mean_ns, r.min_ns, r.iters_per_batch, r.batches, comma
             );
         }
         out.push_str("  ],\n");
         out.push_str("  \"derived\": {");
         for (i, (k, v)) in derived.iter().enumerate() {
             let comma = if i + 1 < derived.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {:.4}{}", json_string(k), v, comma);
+            out.push_str("\n    ");
+            let _ = write_json_str(&mut out, k);
+            let _ = write!(out, ": {v:.4}{comma}");
         }
         if !derived.is_empty() {
             out.push('\n');
@@ -200,25 +199,6 @@ fn format_ns(ns: f64) -> String {
     } else {
         format!("{:.3} s", ns / 1e9)
     }
-}
-
-/// Minimal JSON string escaping for benchmark names.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -257,7 +237,11 @@ mod tests {
 
     #[test]
     fn json_escapes_names() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        let mut h = Harness::quick();
+        h.bench("a\"b\\c", || 1u64);
+        let json = h.to_json("engine", &[("x\ty", 1.0)]);
+        assert!(json.contains(r#""name": "a\"b\\c""#), "{json}");
+        assert!(json.contains(r#""x\ty": 1.0000"#), "{json}");
     }
 
     #[test]

@@ -45,7 +45,8 @@ impl Calibration {
     ///
     /// # Panics
     ///
-    /// Panics if `samples < 2` or `k <= 0`.
+    /// Panics if `samples < 2`, `k <= 0`, or a mismatch instance fails
+    /// to simulate.
     pub fn run(
         cfg: &AdcConfig,
         stimulus: &StimulusSpec,
@@ -64,7 +65,8 @@ impl Calibration {
     ///
     /// # Panics
     ///
-    /// Panics if `samples < 2` or `k <= 0`.
+    /// Panics if `samples < 2`, `k <= 0`, or a mismatch instance fails
+    /// to simulate.
     pub fn run_with_threads(
         cfg: &AdcConfig,
         stimulus: &StimulusSpec,
@@ -88,7 +90,10 @@ impl Calibration {
                 let mut adc = SarAdc::new(cfg.clone());
                 adc.apply_mismatch(&AdcMismatch::sample(sample_rng));
                 let mut devs: [Vec<f64>; 6] = Default::default();
-                for obs in adc.symbist_observations(stimulus.din) {
+                let observations = adc
+                    .try_symbist_observations(stimulus.din)
+                    .expect("a defect-free mismatch instance simulates");
+                for obs in observations {
                     for id in InvarianceId::ALL {
                         if id.is_digital() {
                             continue;
@@ -180,6 +185,7 @@ impl Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symbist_circuit::CircuitError;
 
     fn quick_cal() -> Calibration {
         Calibration::run(&AdcConfig::default(), &StimulusSpec::default(), 8, 5.0, 42)
@@ -236,14 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn healthy_instances_pass_their_own_windows() {
+    fn healthy_instances_pass_their_own_windows() -> Result<(), CircuitError> {
         // k = 5 windows must not flag in-distribution healthy devices.
         let cal = quick_cal();
         let mut rng = Rng::seed_from_u64(999);
         let cfg = AdcConfig::default();
         let mut adc = SarAdc::new(cfg.clone());
         adc.apply_mismatch(&AdcMismatch::sample(&mut rng));
-        for obs in adc.symbist_observations(StimulusSpec::default().din) {
+        for obs in adc.try_symbist_observations(StimulusSpec::default().din)? {
             for id in InvarianceId::ALL {
                 let dev = deviation(id, &obs, &cal.wiring);
                 assert!(
@@ -253,5 +259,6 @@ mod tests {
                 );
             }
         }
+        Ok(())
     }
 }

@@ -126,12 +126,18 @@ impl FaultDictionary {
     ///
     /// Defects whose signature is clean (escapes) are excluded: they are
     /// not diagnosable by this instrument.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a defect's BIST run fails to simulate.
     pub fn build(engine: &SymBist, base: &SarAdc, defects: &[DefectSite]) -> Self {
         let mut entries = Vec::new();
         for site in defects {
             let mut dut = base.clone();
             dut.inject(*site);
-            let result = engine.run(&dut, false);
+            let result = engine
+                .try_run(&dut, false)
+                .expect("dictionary defects simulate to completion");
             let signature = Signature::from_result(&result, engine.calibration());
             if signature.is_clean() {
                 continue;
@@ -218,6 +224,7 @@ mod tests {
     use crate::session::Schedule;
     use symbist_adc::fault::DefectKind;
     use symbist_adc::{AdcConfig, BlockKind};
+    use symbist_circuit::CircuitError;
 
     fn engine() -> SymBist {
         let cfg = AdcConfig::default();
@@ -314,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn unseen_signature_localizes_to_the_right_block() {
+    fn unseen_signature_localizes_to_the_right_block() -> Result<(), CircuitError> {
         // Diagnose a defect that is NOT in the dictionary: the nearest
         // entry should still come from the same block.
         let engine = engine();
@@ -330,7 +337,7 @@ mod tests {
             component: unknown,
             kind: DefectKind::ShortDs,
         });
-        let observed = Signature::from_result(&engine.run(&dut, false), engine.calibration());
+        let observed = Signature::from_result(&engine.try_run(&dut, false)?, engine.calibration());
         assert!(!observed.is_clean());
         let best = &dict.diagnose(&observed, 1)[0];
         assert_eq!(
@@ -340,6 +347,7 @@ mod tests {
             best.entry.component,
             best.distance
         );
+        Ok(())
     }
 
     #[test]

@@ -47,12 +47,20 @@ pub struct SpecCheck {
 
 /// Runs the (deliberately cheap — a dozen conversions) functional spec
 /// check on an ADC instance.
+///
+/// # Panics
+///
+/// Panics if a conversion fails to simulate.
 pub fn check_specs(adc: &SarAdc, limits: &SpecLimits) -> SpecCheck {
     let mut reasons = Vec::new();
 
     // Offset: the code at the architectural midpoint input (ΔIN = 0)
     // should be 528.
-    let mid = adc.convert(0.0) as f64;
+    let convert = |din: f64| {
+        adc.try_convert(din)
+            .expect("functional spec check needs a converting ADC") as f64
+    };
+    let mid = convert(0.0);
     let offset = mid - 528.0;
     if offset.abs() > limits.offset_codes {
         reasons.push(format!("offset {offset:+.1} codes"));
@@ -60,8 +68,8 @@ pub fn check_specs(adc: &SarAdc, limits: &SpecLimits) -> SpecCheck {
 
     // Gain: codes at ±0.75 V should straddle the midpoint symmetrically;
     // their span measures the transfer slope.
-    let hi = adc.convert(0.75) as f64;
-    let lo = adc.convert(-0.75) as f64;
+    let hi = convert(0.75);
+    let lo = convert(-0.75);
     let expect_span = 2.0 * 0.75 / adc.config().vref_fs * 528.0;
     let gain_err = (hi - lo) - expect_span;
     if gain_err.abs() > limits.gain_codes {
@@ -71,7 +79,7 @@ pub fn check_specs(adc: &SarAdc, limits: &SpecLimits) -> SpecCheck {
     // Linearity spot check: four quarter-scale steps must land where an
     // ideal converter puts them.
     for target in [-0.6, -0.3, 0.3, 0.6] {
-        let code = adc.convert(target) as f64;
+        let code = convert(target);
         let ideal = 528.0 + target / adc.config().vref_fs * 528.0;
         if (code - ideal).abs() > limits.step_codes + offset.abs() + gain_err.abs() {
             reasons.push(format!(

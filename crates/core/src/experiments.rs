@@ -176,7 +176,7 @@ pub struct Fig5Data {
 /// # Panics
 ///
 /// Panics if the named fig-5 components cannot be found in the catalog
-/// (would indicate a catalog regression).
+/// (would indicate a catalog regression) or a case fails to simulate.
 pub fn fig5(xc: &ExperimentConfig) -> Fig5Data {
     let engine = xc.build_engine();
     let delta = engine.calibration().deltas[InvarianceId::I3DacSum.index()];
@@ -227,8 +227,12 @@ pub fn fig5(xc: &ExperimentConfig) -> Fig5Data {
         if let Some(site) = site {
             dut.inject(site);
         }
-        let traces = dut.invariance3_trace(xc.stimulus.din);
-        let obs = dut.symbist_observations(xc.stimulus.din);
+        let traces = dut
+            .try_invariance3_trace(xc.stimulus.din)
+            .expect("fig-5 cases simulate to completion");
+        let obs = dut
+            .try_symbist_observations(xc.stimulus.din)
+            .expect("fig-5 cases simulate to completion");
         let deviations: Vec<f64> = obs
             .iter()
             .map(|o| deviation(InvarianceId::I3DacSum, o, &engine.calibration().wiring))
@@ -298,7 +302,12 @@ pub fn yield_sweep(xc: &ExperimentConfig, ks: &[f64], instances: usize) -> Vec<Y
             let engine = SymBist::new(base_cal.with_k(k), xc.stimulus, Schedule::Sequential);
             let flagged = duts
                 .iter()
-                .filter(|dut| !engine.run(dut, true).pass)
+                .filter(|dut| {
+                    !engine
+                        .try_run(dut, true)
+                        .expect("a defect-free mismatch instance simulates")
+                        .pass
+                })
                 .count();
             YieldPoint {
                 k,

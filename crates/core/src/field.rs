@@ -76,7 +76,8 @@ pub struct FieldReport {
 ///
 /// # Panics
 ///
-/// Panics if `defects` is empty or the profile has a zero period.
+/// Panics if `defects` is empty, the profile has a zero period, or a
+/// defect's BIST run fails to simulate.
 pub fn field_campaign(
     engine: &SymBist,
     base: &SarAdc,
@@ -92,7 +93,10 @@ pub fn field_campaign(
     for site in defects {
         let mut dut = base.clone();
         dut.inject(*site);
-        let detectable = !engine.run(&dut, true).pass;
+        let detectable = !engine
+            .try_run(&dut, true)
+            .expect("field-campaign defects simulate to completion")
+            .pass;
         let activated_at = rng.below(activation_span.max(1));
         let outcome = if detectable {
             // Next scheduled run strictly after activation, plus the test

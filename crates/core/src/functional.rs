@@ -61,19 +61,8 @@ pub struct HistogramResult {
 }
 
 impl HistogramBist {
-    /// Runs the test on a DUT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying analog simulation fails; campaign code
-    /// should use [`HistogramBist::try_run`].
-    pub fn run(&self, adc: &SarAdc) -> HistogramResult {
-        self.try_run(adc)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`HistogramBist::run`]: surfaces solver failures
-    /// and budget expiry instead of panicking.
+    /// Runs the test on a DUT. Solver failures and budget expiry surface
+    /// as `Err`.
     pub fn try_run(&self, adc: &SarAdc) -> Result<HistogramResult, CircuitError> {
         let fs = adc.config().diff_full_scale() / 2.0;
         let ampl = fs * self.amplitude;
@@ -168,15 +157,16 @@ mod tests {
     }
 
     #[test]
-    fn healthy_adc_passes_functional_test() {
+    fn healthy_adc_passes_functional_test() -> Result<(), CircuitError> {
         let adc = SarAdc::new(AdcConfig::default());
-        let r = quick().run(&adc);
+        let r = quick().try_run(&adc)?;
         assert!(r.pass, "reasons: {:?}", r.reasons);
         assert!(r.worst_dnl < 0.5, "worst bin DNL {}", r.worst_dnl);
+        Ok(())
     }
 
     #[test]
-    fn reference_collapse_detected_functionally() {
+    fn reference_collapse_detected_functionally() -> Result<(), CircuitError> {
         // The canonical SymBIST escape: a reference-buffer stuck output.
         // The functional test sees the gain failure immediately.
         let mut adc = SarAdc::new(AdcConfig::default());
@@ -189,12 +179,13 @@ mod tests {
             component: mb5,
             kind: DefectKind::ShortDs,
         });
-        let r = quick().run(&adc);
+        let r = quick().try_run(&adc)?;
         assert!(!r.pass, "stuck reference must fail the histogram test");
+        Ok(())
     }
 
     #[test]
-    fn subdac_stuck_tap_detected() {
+    fn subdac_stuck_tap_detected() -> Result<(), CircuitError> {
         let mut adc = SarAdc::new(AdcConfig::default());
         let drv = adc
             .components()
@@ -205,12 +196,13 @@ mod tests {
             component: drv,
             kind: DefectKind::ShortDs,
         });
-        let r = quick().run(&adc);
+        let r = quick().try_run(&adc)?;
         assert!(!r.pass, "a stuck-on MSB tap wrecks linearity");
+        Ok(())
     }
 
     #[test]
-    fn benign_escape_also_passes_functional() {
+    fn benign_escape_also_passes_functional() -> Result<(), CircuitError> {
         let mut adc = SarAdc::new(AdcConfig::default());
         let esr = adc
             .components()
@@ -221,7 +213,11 @@ mod tests {
             component: esr,
             kind: DefectKind::Open,
         });
-        assert!(quick().run(&adc).pass, "DC-benign defect passes both tests");
+        assert!(
+            quick().try_run(&adc)?.pass,
+            "DC-benign defect passes both tests"
+        );
+        Ok(())
     }
 
     #[test]

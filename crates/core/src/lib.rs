@@ -37,8 +37,9 @@
 //! let bist = SymBist::new(cal, stimulus, Schedule::Sequential);
 //!
 //! let adc = SarAdc::new(cfg);
-//! let result = bist.run(&adc, true);
+//! let result = bist.try_run(&adc, true)?;
 //! assert!(result.pass);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! The [`experiments`] module regenerates every table and figure of the

@@ -145,20 +145,9 @@ impl SymBist {
     /// Runs the BIST on a DUT.
     ///
     /// With `stop_on_detection` (paper §V) the run aborts at the first
-    /// violation, which is what makes the defect campaign fast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the underlying analog simulation fails (defective DUT
-    /// driven to singularity, or a solve budget running out). Campaign
-    /// code should use [`SymBist::try_run`].
-    pub fn run(&self, adc: &SarAdc, stop_on_detection: bool) -> BistResult {
-        self.try_run(adc, stop_on_detection)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SymBist::run`]: surfaces solver failures and
-    /// budget expiry instead of panicking.
+    /// violation, which is what makes the defect campaign fast. Solver
+    /// failures (defective DUT driven to singularity) and budget expiry
+    /// surface as `Err`.
     pub fn try_run(
         &self,
         adc: &SarAdc,
@@ -238,17 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn healthy_adc_passes_both_schedules() {
+    fn healthy_adc_passes_both_schedules() -> Result<(), CircuitError> {
         let adc = SarAdc::new(AdcConfig::default());
         for schedule in [Schedule::Sequential, Schedule::Parallel] {
-            let res = engine(schedule).run(&adc, false);
+            let res = engine(schedule).try_run(&adc, false)?;
             assert!(res.pass, "{schedule:?}: {:?}", res.first_detection());
             assert_eq!(res.cycles_run, schedule.total_cycles());
         }
+        Ok(())
     }
 
     #[test]
-    fn vcm_defect_detected_by_i3_at_every_code() {
+    fn vcm_defect_detected_by_i3_at_every_code() -> Result<(), CircuitError> {
         let mut adc = SarAdc::new(AdcConfig::default());
         let idx = adc
             .components()
@@ -259,7 +249,7 @@ mod tests {
             component: idx,
             kind: DefectKind::Short,
         });
-        let res = engine(Schedule::Sequential).run(&adc, false);
+        let res = engine(Schedule::Sequential).try_run(&adc, false)?;
         assert!(!res.pass);
         let i3: Vec<&Detection> = res
             .detections
@@ -268,10 +258,11 @@ mod tests {
             .collect();
         // Fig. 5: the Vcm defect is detectable during the entire test.
         assert_eq!(i3.len(), 32, "I3 flags all 32 codes");
+        Ok(())
     }
 
     #[test]
-    fn stop_on_detection_aborts_early() {
+    fn stop_on_detection_aborts_early() -> Result<(), CircuitError> {
         let mut adc = SarAdc::new(AdcConfig::default());
         let idx = adc
             .components()
@@ -283,8 +274,8 @@ mod tests {
             kind: DefectKind::Short,
         });
         let engine = engine(Schedule::Sequential);
-        let full = engine.run(&adc, false);
-        let aborted = engine.run(&adc, true);
+        let full = engine.try_run(&adc, false)?;
+        let aborted = engine.try_run(&adc, true)?;
         assert!(!aborted.pass);
         assert_eq!(aborted.detections.len(), 1);
         assert!(aborted.cycles_run < full.cycles_run);
@@ -292,10 +283,11 @@ mod tests {
             aborted.first_detection().unwrap().cycle + 1,
             aborted.cycles_run
         );
+        Ok(())
     }
 
     #[test]
-    fn schedules_agree_on_detection() {
+    fn schedules_agree_on_detection() -> Result<(), CircuitError> {
         let mut adc = SarAdc::new(AdcConfig::default());
         // A cross-coupled latch short: I6 violation.
         let idx = adc
@@ -307,8 +299,8 @@ mod tests {
             component: idx + 2,
             kind: DefectKind::ShortDs,
         });
-        let seq = engine(Schedule::Sequential).run(&adc, false);
-        let par = engine(Schedule::Parallel).run(&adc, false);
+        let seq = engine(Schedule::Sequential).try_run(&adc, false)?;
+        let par = engine(Schedule::Parallel).try_run(&adc, false)?;
         assert_eq!(seq.pass, par.pass);
         assert!(!seq.pass);
         // Same (invariance, code) set, different cycle stamps.
@@ -318,6 +310,7 @@ mod tests {
         a.sort_unstable_by_key(|(id, c)| (id.index(), *c));
         b.sort_unstable_by_key(|(id, c)| (id.index(), *c));
         assert_eq!(a, b);
+        Ok(())
     }
 
     #[test]

@@ -12,6 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use symbist_obs::write_json_str;
+
 /// Nesting depth cap: a spec is a couple of levels deep; anything beyond
 /// this is hostile or corrupt input, not a campaign spec.
 const MAX_DEPTH: usize = 32;
@@ -161,7 +163,7 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) if n.is_finite() => write!(f, "{n}"),
             Json::Num(_) => f.write_str("null"),
-            Json::Str(s) => write_json_string(f, s),
+            Json::Str(s) => write_json_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -178,29 +180,13 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_json_string(f, k)?;
+                    write_json_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
     }
-}
-
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
-        }
-    }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {

@@ -29,11 +29,13 @@
 use std::collections::BTreeMap;
 
 use symbist_adc::SarAdc;
-use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId};
+use symbist_circuit::netlist::{DeviceId, Netlist, NodeId};
 use symbist_circuit::topology::DisjointSet;
 use symbist_defects::{DefectUniverse, LikelihoodModel};
 
-use crate::diag::{json_str, Diagnostic, LintReport, Rule};
+use symbist_obs::write_json_str;
+
+use crate::diag::{Diagnostic, LintReport, Rule};
 use crate::orbit::{orbit_partition, OrbitPartition};
 
 /// One invariance as the analyzer sees it: a named set of observed nodes
@@ -136,14 +138,14 @@ impl AnalysisReport {
     /// Machine-readable JSON rendering.
     pub fn to_json_string(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
+        let mut out = String::from("{\"context\":");
+        let _ = write_json_str(&mut out, &self.context);
         let _ = write!(
             out,
-            "{{\"context\":{},\"universe_size\":{},\"bound_components\":{},\
+            ",\"universe_size\":{},\"bound_components\":{},\
              \"unmodeled_components\":{},\"node_orbits\":{},\"device_orbits\":{},\
              \"certificate\":\"{:016x}\",\"class_count\":{},\"defects_saved\":{},\
              \"undetectable\":[",
-            json_str(&self.context),
             self.universe_size,
             self.bound_components,
             self.unmodeled_components,
@@ -164,12 +166,9 @@ impl AnalysisReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"orbit\":{},\"kind\":{},\"members\":[",
-                class.orbit,
-                json_str(&class.kind)
-            );
+            let _ = write!(out, "{{\"orbit\":{},\"kind\":", class.orbit);
+            let _ = write_json_str(&mut out, &class.kind);
+            out.push_str(",\"members\":[");
             for (j, m) in class.members.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -470,114 +469,10 @@ fn node_label(nl: &Netlist, node: NodeId) -> String {
     }
 }
 
-/// Copies `src` into `dst`, returning the node mapping (`src` node index →
-/// `dst` node). Ground maps to ground; every other node gets a fresh
-/// anonymous node (names are deliberately dropped — orbit analysis is
-/// name-blind). Returns the device mapping in card order.
-fn splice_netlist(dst: &mut Netlist, src: &Netlist) -> (Vec<NodeId>, Vec<DeviceId>) {
-    fn map(dst: &mut Netlist, node: NodeId, node_map: &mut [Option<NodeId>]) -> NodeId {
-        if let Some(mapped) = node_map[node.index()] {
-            return mapped;
-        }
-        let fresh = dst.fresh_node();
-        node_map[node.index()] = Some(fresh);
-        fresh
-    }
-    let mut node_map: Vec<Option<NodeId>> = vec![None; src.node_count()];
-    node_map[Netlist::GND.index()] = Some(Netlist::GND);
-    let mut devices = Vec::with_capacity(src.device_count());
-    for (_, device) in src.iter() {
-        let id = match *device {
-            Device::Resistor { a, b, ohms } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                dst.resistor(a, b, ohms)
-            }
-            Device::Capacitor { a, b, farads, ic } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                match ic {
-                    Some(v) => dst.capacitor_with_ic(a, b, farads, v),
-                    None => dst.capacitor(a, b, farads),
-                }
-            }
-            Device::VSource { p, n, ref wave } => {
-                let (p, n) = (map(dst, p, &mut node_map), map(dst, n, &mut node_map));
-                dst.vsource_wave(p, n, wave.clone())
-            }
-            Device::ISource { p, n, ref wave } => {
-                let (p, n) = (map(dst, p, &mut node_map), map(dst, n, &mut node_map));
-                dst.isource_wave(p, n, wave.clone())
-            }
-            Device::Switch {
-                a,
-                b,
-                closed,
-                r_on,
-                r_off,
-            } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                let id = dst.switch(a, b, r_on, r_off);
-                dst.set_switch(id, closed);
-                id
-            }
-            Device::Diode {
-                anode,
-                cathode,
-                i_sat,
-                ideality,
-            } => {
-                let (anode, cathode) = (
-                    map(dst, anode, &mut node_map),
-                    map(dst, cathode, &mut node_map),
-                );
-                dst.diode(anode, cathode, i_sat, ideality)
-            }
-            Device::Mosfet {
-                d,
-                g,
-                s,
-                polarity,
-                vth,
-                kp,
-                lambda,
-            } => {
-                let (d, g, s) = (
-                    map(dst, d, &mut node_map),
-                    map(dst, g, &mut node_map),
-                    map(dst, s, &mut node_map),
-                );
-                dst.mosfet(d, g, s, polarity, vth, kp, lambda)
-            }
-            Device::Vcvs { p, n, cp, cn, gain } => {
-                let (p, n, cp, cn) = (
-                    map(dst, p, &mut node_map),
-                    map(dst, n, &mut node_map),
-                    map(dst, cp, &mut node_map),
-                    map(dst, cn, &mut node_map),
-                );
-                dst.vcvs(p, n, cp, cn, gain)
-            }
-            Device::Vccs { p, n, cp, cn, gm } => {
-                let (p, n, cp, cn) = (
-                    map(dst, p, &mut node_map),
-                    map(dst, n, &mut node_map),
-                    map(dst, cp, &mut node_map),
-                    map(dst, cn, &mut node_map),
-                );
-                dst.vccs(p, n, cp, cn, gm)
-            }
-        };
-        devices.push(id);
-    }
-    let nodes = node_map
-        .into_iter()
-        .map(|n| n.unwrap_or(Netlist::GND))
-        .collect();
-    (nodes, devices)
-}
-
 /// Runs the stage-two analysis over the built-in SAR ADC: the whole-ADC
-/// static model through [`analyze`], plus [`check_fd_pair_orbits`] over
-/// every declared FD pair.
+/// static model through [`analyze`]. The declared FD pairs are checked
+/// once, by `SYM-L030` ([`crate::check_fd_symmetry`], run by
+/// [`crate::lint_adc`]).
 pub fn analyze_adc(adc: &SarAdc) -> AnalysisReport {
     let universe = DefectUniverse::enumerate(adc, &LikelihoodModel::default());
     analyze_adc_with_universe(adc, &universe)
@@ -604,70 +499,7 @@ pub fn analyze_adc_with_universe(adc: &SarAdc, universe: &DefectUniverse) -> Ana
         bindings: &model.bindings,
         invariances: &invariances,
     };
-    let mut report = analyze(&analysis_model, universe);
-    for pair in adc.fd_pairs() {
-        report.diagnostics.extend(check_fd_pair_orbits(&pair));
-    }
-    report
-}
-
-/// Structural-orbit refinement of the FD-pair check (`SYM-L052` on an
-/// [`FdPair`]): merges both halves into one deck, pins the declared seed
-/// correspondences with shared colors, and verifies that every seed pair —
-/// and every same-position device pair — lands in one orbit, i.e. the two
-/// halves are exchangeable by an actual automorphism of the merged
-/// network.
-///
-/// [`FdPair`]: symbist_adc::FdPair
-pub fn check_fd_pair_orbits(pair: &symbist_adc::FdPair) -> LintReport {
-    let mut report = LintReport::new();
-    let context = format!("fd pair: {}", pair.name);
-    if pair.p.device_count() != pair.n.device_count() {
-        // Grossly asymmetric; L030 already reports the cardinality
-        // mismatch with better attribution.
-        return report;
-    }
-    let mut merged = Netlist::new();
-    let (p_nodes, p_devices) = splice_netlist(&mut merged, &pair.p);
-    let (n_nodes, n_devices) = splice_netlist(&mut merged, &pair.n);
-    let mut colors: BTreeMap<usize, String> = BTreeMap::new();
-    for (i, &(p, n)) in pair.seeds.iter().enumerate() {
-        colors.insert(p_nodes[p.index()].index(), format!("seed:{i}"));
-        colors.insert(n_nodes[n.index()].index(), format!("seed:{i}"));
-    }
-    let orbits = orbit_partition(&merged, &colors);
-    for (i, (&pd, &nd)) in p_devices.iter().zip(&n_devices).enumerate() {
-        if orbits.device_orbits[pd.index()] != orbits.device_orbits[nd.index()] {
-            report.push(Diagnostic::new(
-                Rule::SymmetryBrokenPair,
-                context.clone(),
-                format!("device #{i}"),
-                "P and N instances of this position lie in different \
-                 structural orbits — no automorphism of the merged network \
-                 exchanges the declared halves"
-                    .to_string(),
-            ));
-            return report;
-        }
-    }
-    for (i, &(p, n)) in pair.seeds.iter().enumerate() {
-        let (pm, nm) = (p_nodes[p.index()], n_nodes[n.index()]);
-        if orbits.node_orbits[pm.index()] != orbits.node_orbits[nm.index()] {
-            report.push(Diagnostic::new(
-                Rule::SymmetryBrokenPair,
-                context.clone(),
-                format!("seed #{i}"),
-                format!(
-                    "seed correspondence {} ↔ {} is not realized by any \
-                     automorphism of the merged network",
-                    node_label(&pair.p, p),
-                    node_label(&pair.n, n),
-                ),
-            ));
-            return report;
-        }
-    }
-    report
+    analyze(&analysis_model, universe)
 }
 
 #[cfg(test)]

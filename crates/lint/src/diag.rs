@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use symbist_obs::write_json_str;
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -76,9 +78,9 @@ pub enum Rule {
     /// An invariance whose cone of influence contains no defect site at
     /// all — it consumes checker area but can never detect anything.
     DeadInvariance,
-    /// A declared symmetric pair whose halves land in different structural
-    /// orbits — no automorphism exchanges them (refines L030 from
-    /// value-matching to graph-automorphism evidence).
+    /// A symmetric invariance whose declared observed nodes land in
+    /// different structural orbits — no automorphism of the analyzed
+    /// netlist exchanges them.
     SymmetryBrokenPair,
     /// Informational orbit-partition summary for a netlist.
     OrbitSummary,
@@ -290,43 +292,23 @@ impl LintReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"name\":{},\"severity\":{},\"context\":{},\"subject\":{},\"message\":{}}}",
-                json_str(d.rule.code()),
-                json_str(d.rule.name()),
-                json_str(d.severity.label()),
-                json_str(&d.context),
-                json_str(&d.subject),
-                json_str(&d.message),
-            );
+            let fields = [
+                ("rule", d.rule.code()),
+                ("name", d.rule.name()),
+                ("severity", d.severity.label()),
+                ("context", d.context.as_str()),
+                ("subject", d.subject.as_str()),
+                ("message", d.message.as_str()),
+            ];
+            for (j, (key, value)) in fields.into_iter().enumerate() {
+                let _ = write!(out, "{}\"{key}\":", if j > 0 { ',' } else { '{' });
+                let _ = write_json_str(&mut out, value);
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-/// JSON string literal with escaping (the same minimal escape set the
-/// service's hand-rolled parser understands).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -377,11 +359,12 @@ mod tests {
 
     #[test]
     fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
         let mut report = LintReport::new();
-        report.push(Diagnostic::new(Rule::BadResistor, "c\"x", "s", "m"));
+        report.push(Diagnostic::new(Rule::BadResistor, "c\"x", "s\\t", "m\nn"));
         let json = report.to_json_string();
-        assert!(json.contains(r#""rule":"SYM-L020""#), "{json}");
-        assert!(json.contains(r#""errors":1"#), "{json}");
+        assert_eq!(
+            json,
+            r#"{"errors":1,"warnings":0,"diagnostics":[{"rule":"SYM-L020","name":"bad-resistor","severity":"error","context":"c\"x","subject":"s\\t","message":"m\nn"}]}"#
+        );
     }
 }

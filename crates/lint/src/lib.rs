@@ -46,8 +46,8 @@ pub mod symmetry;
 pub mod universe_rules;
 
 pub use analysis::{
-    analyze, analyze_adc, analyze_adc_with_universe, check_fd_pair_orbits, AnalysisModel,
-    AnalysisReport, DefectClass, ObservedInvariance,
+    analyze, analyze_adc, analyze_adc_with_universe, AnalysisModel, AnalysisReport, DefectClass,
+    ObservedInvariance,
 };
 pub use diag::{Diagnostic, LintReport, Rule, Severity};
 pub use orbit::{orbit_partition, OrbitPartition};

@@ -6,7 +6,7 @@
 
 use symbist_adc::fault::Faultable;
 use symbist_adc::{seeds_by_name, AdcConfig, FdPair, SarAdc};
-use symbist_circuit::netlist::Netlist;
+use symbist_circuit::netlist::{Device, Netlist, SourceWave};
 use symbist_defects::{DefectUniverse, LikelihoodModel};
 use symbist_lint::{
     check_fd_symmetry, lint_adc_with_universe, lint_netlist, lint_universe, Severity,
@@ -82,6 +82,57 @@ fn fixture_mismatched_fd_pair_sym_l030() {
     let report = check_fd_symmetry(&pair);
     assert!(report.has_rule("SYM-L030"), "{}", report.render_text());
     assert!(report.has_errors());
+}
+
+/// Moves one parameter of `device` by 30 % (a zero value, such as the SC
+/// array's grounded input source, moves to 0.3; a switch flips state
+/// instead), so it no longer mirrors its partner in the other half.
+fn perturb(device: &mut Device) {
+    let bump = |x: &mut f64| *x = if *x == 0.0 { 0.3 } else { *x * 1.3 };
+    match device {
+        Device::Resistor { ohms, .. } => bump(ohms),
+        Device::Capacitor { farads, .. } => bump(farads),
+        Device::VSource { wave, .. } | Device::ISource { wave, .. } => match wave {
+            SourceWave::Dc(v) => bump(v),
+            other => panic!("no perturbation for source wave {other:?}"),
+        },
+        Device::Switch { closed, .. } => *closed = !*closed,
+        Device::Diode { i_sat, .. } => bump(i_sat),
+        Device::Mosfet { kp, .. } => bump(kp),
+        Device::Vcvs { gain, .. } => bump(gain),
+        Device::Vccs { gm, .. } => bump(gm),
+    }
+}
+
+/// Every position of every shipped FD pair is covered by L030: breaking
+/// the N instance of device #i fires SYM-L030 on exactly that position,
+/// while the untouched pair passes.
+#[test]
+fn every_shipped_fd_pair_position_fires_sym_l030() {
+    let adc = SarAdc::new(AdcConfig::default());
+    let pairs = adc.fd_pairs();
+    let sizes: Vec<usize> = pairs.iter().map(|pair| pair.p.device_count()).collect();
+    assert_eq!(sizes, [12, 37, 37], "SC Array, SUBDAC1, SUBDAC2");
+    for pair in &pairs {
+        let clean = check_fd_symmetry(pair);
+        assert!(clean.diagnostics().is_empty(), "{}", clean.render_text());
+        for (id, device) in pair.n.iter() {
+            let mut broken = pair.clone();
+            perturb(broken.n.device_mut(id));
+            let report = check_fd_symmetry(&broken);
+            let subject = format!("device #{} ({})", id.index(), device.kind_name());
+            assert!(
+                report
+                    .diagnostics()
+                    .iter()
+                    .all(|d| d.rule.code() == "SYM-L030" && d.subject == subject),
+                "{}: {subject}\n{}",
+                pair.name,
+                report.render_text()
+            );
+            assert!(report.has_errors(), "{}: {subject} not flagged", pair.name);
+        }
+    }
 }
 
 /// Fixture: a defect universe whose first site references a component

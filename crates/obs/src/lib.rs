@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod fault;
@@ -123,4 +124,45 @@ macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
     };
+}
+
+/// Writes `s` as a quoted JSON string literal. `"`, `\\`, newline,
+/// carriage return and tab get their short escapes, every other control
+/// character becomes `\u00XX`, and everything else (non-ASCII included)
+/// passes through unchanged. The one string escaper behind span NDJSON,
+/// `lint --json`, the DUT registry's JSON values and `BENCH_engine.json`.
+pub fn write_json_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_json_str;
+
+    #[test]
+    fn json_str_escape_set() {
+        for (raw, quoted) in [
+            ("", r#""""#),
+            ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
+            ("\r\t", r#""\r\t""#),
+            ("\u{0}\u{1b}\u{1f}", r#""\u0000\u001b\u001f""#),
+            ("uni → ∞ 😀 ~\u{7f}", "\"uni → ∞ 😀 ~\u{7f}\""),
+        ] {
+            let mut out = String::new();
+            write_json_str(&mut out, raw).expect("writing to a String cannot fail");
+            assert_eq!(out, quoted, "{raw:?}");
+        }
+    }
 }

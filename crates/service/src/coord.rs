@@ -44,11 +44,11 @@ use std::time::{Duration, Instant};
 
 use symbist_defects::checkpoint::{checkpoint_line, merged_line, parse_checkpoint_line};
 use symbist_defects::{CampaignResult, Coverage, DefectRecord};
+use symbist_dut::Json;
 
 use crate::backoff::{Backoff, DEFAULT_BASE, DEFAULT_CAP};
 use crate::client::{Client, ClientError, ServiceError};
 use crate::job::JobId;
-use crate::json::Json;
 use crate::spec::JobSpec;
 
 /// Coordinator configuration.

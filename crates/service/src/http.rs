@@ -19,10 +19,8 @@
 //!
 //! # Endpoints (v1)
 //!
-//! All routes live under the `/v1` prefix. The pre-versioning paths
-//! answer `308 Permanent Redirect` with a `Location: /v1{path}` and a
-//! `Deprecation: true` header, so old clients keep working while new
-//! ones never learn the legacy names.
+//! All routes live under the `/v1` prefix; any other path answers
+//! `404 not_found`.
 //!
 //! | Method/path                 | Purpose                                  |
 //! |-----------------------------|------------------------------------------|
@@ -44,12 +42,11 @@
 //!
 //! # Errors
 //!
-//! Every non-2xx response (including the 308 redirects) carries one JSON
-//! envelope: `{"error": {"code", "message", "retry_after?",
-//! "diagnostics?"}}`. `code` is a stable machine-readable slug (see
-//! [`ApiError`]); `retry_after`, when present, duplicates the
-//! `Retry-After` header in seconds; `diagnostics` carries structured
-//! detail (currently: the lint report on `422`).
+//! Every non-2xx response carries one JSON envelope: `{"error": {"code",
+//! "message", "retry_after?", "diagnostics?"}}`. `code` is a stable
+//! machine-readable slug (see [`ApiError`]); `retry_after`, when present,
+//! duplicates the `Retry-After` header in seconds; `diagnostics` carries
+//! structured detail (currently: the lint report on `422`).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -62,11 +59,10 @@ use std::time::{Duration, Instant};
 
 use symbist_defects::checkpoint::checkpoint_line;
 
-use symbist_dut::{DutEntry, DutSpec, InvarianceKind, UploadError};
+use symbist_dut::{DutEntry, DutSpec, InvarianceKind, Json, UploadError};
 
 use crate::backend::CampaignBackend;
 use crate::job::{JobId, JobState, Registry, SubmitError};
-use crate::json::Json;
 use crate::spec::JobSpec;
 use crate::worker::WorkerPool;
 
@@ -364,7 +360,6 @@ fn status_reason(status: u16) -> &'static str {
         200 => "OK",
         201 => "Created",
         202 => "Accepted",
-        308 => "Permanent Redirect",
         400 => "Bad Request",
         403 => "Forbidden",
         404 => "Not Found",
@@ -386,7 +381,7 @@ fn status_reason(status: u16) -> &'static str {
 /// never on `message` text. The codes in use: `bad_request`, `not_found`,
 /// `method_not_allowed`, `conflict`, `payload_too_large`, `lint_failed`,
 /// `saturated`, `header_too_large`, `queue_full`, `draining`,
-/// `moved_permanently`, `quota_exceeded`, `internal`.
+/// `quota_exceeded`, `internal`.
 ///
 /// `quota_exceeded` is deliberately a `403`, not a `429`: the client's
 /// retry policy treats `429` as transient saturation and retries with
@@ -638,38 +633,8 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared) -> std::io:
     let path = request.path.as_str();
     match path.strip_prefix("/v1") {
         Some(rest) if rest.starts_with('/') => route_v1(stream, method, rest, request, shared),
-        Some(_) => write_error(stream, &ApiError::not_found("no such route"), &[]),
-        None if is_legacy_route(path) => redirect_to_v1(stream, path),
-        None => write_error(stream, &ApiError::not_found("no such route"), &[]),
+        _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
     }
-}
-
-/// Whether a pre-versioning path deserves a `308` onto its `/v1` twin.
-/// Unknown paths fall through to a plain `404` — redirecting them would
-/// turn every typo into a misleading "deprecated route" signal.
-fn is_legacy_route(path: &str) -> bool {
-    matches!(path, "/healthz" | "/stats" | "/jobs" | "/shutdown")
-        || path.starts_with("/jobs/")
-        || path.starts_with("/report/")
-        || path.starts_with("/lint/")
-}
-
-/// `308 Permanent Redirect` preserves the method and body, so a legacy
-/// `POST /jobs` replays correctly against `/v1/jobs`. The `Deprecation`
-/// header marks the old name; the envelope body serves clients that do
-/// not follow redirects.
-fn redirect_to_v1(stream: &mut TcpStream, path: &str) -> std::io::Result<u16> {
-    let location = format!("/v1{path}");
-    let error = ApiError::new(
-        308,
-        "moved_permanently",
-        format!("unversioned paths are deprecated; use {location}"),
-    );
-    write_error(
-        stream,
-        &error,
-        &[("Location", &location), ("Deprecation", "true")],
-    )
 }
 
 fn route_v1(

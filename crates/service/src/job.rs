@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 
 use symbist_defects::checkpoint::parse_checkpoint_line;
 use symbist_defects::{CampaignMonitor, CampaignResult, DefectRecord, UnresolvedCounts};
+use symbist_dut::Json;
 
-use crate::json::Json;
 use crate::spec::JobSpec;
 
 /// Job identifier: dense integers assigned at submit time, stable across

@@ -61,7 +61,6 @@ pub mod coord;
 pub mod dut_backend;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod spec;
 pub mod worker;
 
@@ -74,6 +73,6 @@ pub use http::{Server, ServiceConfig};
 pub use job::{
     Job, JobId, JobProgress, JobReport, JobState, JobStatus, Registry, RegistryStats, SubmitError,
 };
-pub use json::{Json, JsonError};
 pub use spec::{JobSpec, SpecError};
+pub use symbist_dut::{Json, JsonError};
 pub use worker::WorkerPool;

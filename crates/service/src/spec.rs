@@ -18,8 +18,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use symbist_defects::CampaignOptions;
-
-use crate::json::Json;
+use symbist_dut::Json;
 
 /// A validated campaign job specification.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,8 +1,8 @@
 //! End-to-end acceptance tests for the campaign job service, exercised
 //! through the real TCP/HTTP stack: submit → poll → stream → report,
 //! queue-full `503` backpressure, handler-pool `429` refusal, live NDJSON
-//! streaming, cancellation, the `/v1` routing contract (legacy 308
-//! redirects, uniform error envelopes, Prometheus metrics, trace export),
+//! streaming, cancellation, the `/v1` routing contract (404 outside
+//! `/v1`, uniform error envelopes, Prometheus metrics, trace export),
 //! and the drain/restart resume contract (the service-level version of
 //! the campaign runner's kill-and-resume oracle).
 #![allow(clippy::unwrap_used)] // integration tests assert by panicking
@@ -18,8 +18,8 @@ use symbist_defects::{CampaignResult, DefectRecord};
 use symbist_service::backend::{CampaignBackend, Gate, SyntheticBackend};
 use symbist_service::client::{Client, ClientError, ServiceError};
 use symbist_service::http::{Server, ServiceConfig};
-use symbist_service::json::Json;
 use symbist_service::spec::JobSpec;
+use symbist_service::Json;
 
 const POLL: Duration = Duration::from_millis(10);
 
@@ -555,10 +555,12 @@ fn lint_endpoint_reports_for_admitted_jobs() {
 // ------------------------------------------------------------- /v1 API
 
 #[test]
-fn legacy_paths_redirect_to_v1_with_deprecation_header() {
+fn unversioned_paths_answer_not_found() {
     let (server, _client) = start(ServiceConfig::default(), Arc::new(SyntheticBackend::new(2)));
     let addr = server.addr();
 
+    // The pre-/v1 names of real routes get no redirect and no deprecation
+    // signal: like any unknown path, they are a plain 404.
     for (method, path) in [
         ("GET", "/healthz"),
         ("GET", "/stats"),
@@ -568,31 +570,18 @@ fn legacy_paths_redirect_to_v1_with_deprecation_header() {
         ("GET", "/report/1"),
         ("GET", "/lint/1"),
         ("POST", "/shutdown"),
+        ("GET", "/nope"),
     ] {
         let (status, headers, body) = raw_request_full(addr, method, path, "");
-        assert_eq!(status, 308, "{method} {path}: {body}");
+        assert_eq!(status, 404, "{method} {path}: {body}");
+        assert!(header(&headers, "location").is_none(), "{method} {path}");
+        assert!(header(&headers, "deprecation").is_none(), "{method} {path}");
         assert_eq!(
-            header(&headers, "location"),
-            Some(format!("/v1{path}").as_str()),
-            "{method} {path}"
-        );
-        assert_eq!(header(&headers, "deprecation"), Some("true"), "{path}");
-        let envelope = parse_envelope(&body);
-        assert_eq!(
-            envelope.get("code").and_then(Json::as_str),
-            Some("moved_permanently"),
-            "{body}"
+            parse_envelope(&body).get("code").and_then(Json::as_str),
+            Some("not_found"),
+            "{method} {path}: {body}"
         );
     }
-
-    // Unknown paths are a plain 404, not a "deprecated route" signal.
-    let (status, headers, body) = raw_request_full(addr, "GET", "/nope", "");
-    assert_eq!(status, 404, "{body}");
-    assert!(header(&headers, "location").is_none());
-    assert_eq!(
-        parse_envelope(&body).get("code").and_then(Json::as_str),
-        Some("not_found")
-    );
 
     server.request_shutdown();
     server.wait();

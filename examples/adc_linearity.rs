@@ -26,7 +26,7 @@ fn main() {
     let samples: Vec<(f64, u32)> = (0..=steps)
         .map(|i| {
             let v = v_lo + (v_hi - v_lo) * i as f64 / steps as f64;
-            (v, adc.convert(v) as u32)
+            (v, adc.try_convert(v).expect("conversion simulates") as u32)
         })
         .collect();
 
@@ -52,7 +52,7 @@ fn main() {
         .map(|i| {
             let phase = 2.0 * std::f64::consts::PI * 3.0 * i as f64 / n as f64;
             let din = 0.85 * phase.sin();
-            let code = adc.convert(din) as f64;
+            let code = adc.try_convert(din).expect("conversion simulates") as f64;
             (code - 512.0) / 512.0
         })
         .collect();

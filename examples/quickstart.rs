@@ -25,7 +25,10 @@ fn main() {
 
     // 2. It converts: a quick three-point sanity sweep.
     for din in [-0.6, 0.0, 0.6] {
-        println!("  convert(ΔIN = {din:+.1} V) = code {}", adc.convert(din));
+        println!(
+            "  convert(ΔIN = {din:+.1} V) = code {}",
+            adc.try_convert(din).expect("conversion simulates")
+        );
     }
 
     // 3. Calibrate the SymBIST windows: δ = 5σ over a 10-sample Monte
@@ -43,7 +46,7 @@ fn main() {
     let bist = SymBist::new(calibration, stimulus, Schedule::Sequential);
 
     // 4. A healthy device passes.
-    let result = bist.run(&adc, true);
+    let result = bist.try_run(&adc, true).expect("BIST run simulates");
     println!("\nHealthy DUT: pass = {}", result.pass);
     let tt = test_time(&cfg, Schedule::Sequential);
     println!(
@@ -65,7 +68,7 @@ fn main() {
         component: site,
         kind: DefectKind::Short,
     });
-    let result = bist.run(&bad, true);
+    let result = bist.try_run(&bad, true).expect("BIST run simulates");
     println!("\nDefective DUT: pass = {}", result.pass);
     if let Some(d) = result.first_detection() {
         println!(

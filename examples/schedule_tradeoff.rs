@@ -27,7 +27,7 @@ fn main() {
         let tt = test_time(&cfg, schedule);
         let area = area_report(&adc, schedule);
         let engine = SymBist::new(cal.clone(), stimulus, schedule);
-        let result = engine.run(&adc, true);
+        let result = engine.try_run(&adc, true).expect("BIST run simulates");
         assert!(result.pass, "healthy device must pass under {schedule:?}");
         println!(
             "{:<12} {:>8} {:>9.2} µs {:>14.1} {:>12.0} {:>9.2}%",

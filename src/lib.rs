@@ -27,7 +27,8 @@
 //!
 //! // Or drive the pieces directly.
 //! let adc = SarAdc::new(AdcConfig::default());
-//! assert!(adc.convert(0.4) > adc.convert(-0.4));
+//! assert!(adc.try_convert(0.4)? > adc.try_convert(-0.4)?);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -7,6 +7,7 @@ use symbist_repro::bist::calibrate::Calibration;
 use symbist_repro::bist::invariance::InvarianceId;
 use symbist_repro::bist::session::{Schedule, SymBist};
 use symbist_repro::bist::stimulus::StimulusSpec;
+use symbist_repro::circuit::CircuitError;
 use symbist_repro::defects::{run_campaign, CampaignOptions, DefectUniverse, LikelihoodModel};
 
 fn engine() -> SymBist {
@@ -17,16 +18,17 @@ fn engine() -> SymBist {
 }
 
 #[test]
-fn healthy_device_passes_and_runs_full_length() {
+fn healthy_device_passes_and_runs_full_length() -> Result<(), CircuitError> {
     let bist = engine();
     let adc = SarAdc::new(AdcConfig::default());
-    let result = bist.run(&adc, true);
+    let result = bist.try_run(&adc, true)?;
     assert!(
         result.pass,
         "healthy DUT flagged: {:?}",
         result.first_detection()
     );
     assert_eq!(result.cycles_run, 192);
+    Ok(())
 }
 
 #[test]
@@ -46,14 +48,14 @@ fn every_block_has_at_least_one_detectable_defect() {
         let detected = sub.iter().take(40).any(|d| {
             let mut dut = adc.clone();
             dut.inject(d.site);
-            !bist.run(&dut, true).pass
+            !bist.try_run(&dut, true).expect("BIST run simulates").pass
         });
         assert!(detected, "no detectable defect found in {block}");
     }
 }
 
 #[test]
-fn no_defect_makes_the_pipeline_panic() {
+fn no_defect_makes_the_pipeline_panic() -> Result<(), CircuitError> {
     // Failure injection: every defect class on a sample of sites across
     // all blocks must produce a verdict, never a crash.
     let bist = engine();
@@ -63,8 +65,9 @@ fn no_defect_makes_the_pipeline_panic() {
     for d in universe.iter().step_by(stride.max(1)) {
         let mut dut = adc.clone();
         dut.inject(d.site);
-        let _ = bist.run(&dut, true);
+        bist.try_run(&dut, true)?;
     }
+    Ok(())
 }
 
 #[test]
@@ -105,7 +108,7 @@ fn campaign_pipeline_smoke() {
 }
 
 #[test]
-fn detection_attributes_to_the_right_invariance() {
+fn detection_attributes_to_the_right_invariance() -> Result<(), CircuitError> {
     let bist = engine();
     let base = SarAdc::new(AdcConfig::default());
     // Latch cross-couple short → I6; find it by name for robustness.
@@ -119,7 +122,7 @@ fn detection_attributes_to_the_right_invariance() {
         component: idx,
         kind: DefectKind::ShortDs,
     });
-    let res = bist.run(&dut, false);
+    let res = bist.try_run(&dut, false)?;
     assert!(!res.pass);
     assert!(
         res.detections
@@ -128,10 +131,11 @@ fn detection_attributes_to_the_right_invariance() {
         "latch short must violate I6, got {:?}",
         res.detections.first()
     );
+    Ok(())
 }
 
 #[test]
-fn defect_free_after_clear_matches_pristine() {
+fn defect_free_after_clear_matches_pristine() -> Result<(), CircuitError> {
     let bist = engine();
     let pristine = SarAdc::new(AdcConfig::default());
     let mut reused = pristine.clone();
@@ -139,10 +143,11 @@ fn defect_free_after_clear_matches_pristine() {
         component: 0,
         kind: DefectKind::Short,
     });
-    assert!(!bist.run(&reused, true).pass || bist.run(&reused, true).pass); // any verdict
+    assert!(!bist.try_run(&reused, true)?.pass || bist.try_run(&reused, true)?.pass); // any verdict
     reused.clear_defects();
-    let a = bist.run(&reused, false);
-    let b = bist.run(&pristine, false);
+    let a = bist.try_run(&reused, false)?;
+    let b = bist.try_run(&pristine, false)?;
     assert_eq!(a.pass, b.pass);
     assert!(a.pass);
+    Ok(())
 }
