@@ -13,7 +13,7 @@
 //! (offset, gain collapse, output stuck), which is how a defect simulator
 //! abstracts a sub-block it cannot afford to flatten.
 
-use symbist_circuit::dc::DcSolver;
+use symbist_circuit::dc::{DcOptions, DcSolver};
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::{MosPolarity, Netlist};
 
@@ -251,10 +251,7 @@ impl Bandgap {
             return Ok(BandgapOutput { vbg: 0.0 }); // block dead
         };
         let solve_full = |t: f64, warm: &[f64]| -> Result<Option<(f64, Vec<f64>)>, CircuitError> {
-            let solver = DcSolver::with_options(symbist_circuit::dc::DcOptions {
-                temperature_c: t,
-                ..Default::default()
-            });
+            let solver = DcSolver::with_options(DcOptions { temperature_c: t });
             let (nl, vbg_node) = self.build_netlist(target_gain, fault);
             match solver.solve_from(&nl, Some(warm)) {
                 Ok(op) => Ok(Some((
@@ -303,10 +300,7 @@ impl Bandgap {
         target_gain: f64,
         warm0: Option<Vec<f64>>,
     ) -> Result<Option<(f64, Vec<f64>)>, CircuitError> {
-        let solver = DcSolver::with_options(symbist_circuit::dc::DcOptions {
-            temperature_c,
-            ..Default::default()
-        });
+        let solver = DcSolver::with_options(DcOptions { temperature_c });
         let mut warm = warm0;
         let mut gain = 0.0;
         let mut step = 3.0;
@@ -626,13 +620,10 @@ mod temperature_tests {
             let a = nl.node("a");
             nl.isource(Netlist::GND, a, 10e-6);
             nl.diode(a, Netlist::GND, 1e-16, 1.0);
-            DcSolver::with_options(DcOptions {
-                temperature_c: t,
-                ..Default::default()
-            })
-            .solve(&nl)
-            .unwrap()
-            .voltage(a)
+            DcSolver::with_options(DcOptions { temperature_c: t })
+                .solve(&nl)
+                .unwrap()
+                .voltage(a)
         };
         let slope = (drop_at(85.0) - drop_at(25.0)) / 60.0;
         assert!(

@@ -1,6 +1,5 @@
 //! Benches of the simulation substrate: linear algebra, DC and transient
-//! solves (dense vs sparse), and the ADC-level primitives every experiment
-//! rests on.
+//! solves, and the ADC-level primitives every experiment rests on.
 //!
 //! `harness = false`: this is a plain program on the in-repo
 //! [`symbist_bench::harness`]. Pass `--quick` for a fast smoke run.
@@ -16,7 +15,7 @@ fn main() {
     };
     engine_suite::run(&mut h);
     print!("{}", h.report());
-    for (name, ratio) in engine_suite::derived(&h) {
-        println!("{name}: {ratio:.2}x");
+    for (name, value) in engine_suite::derived() {
+        println!("{name}: {value:.2}");
     }
 }

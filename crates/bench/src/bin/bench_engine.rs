@@ -1,7 +1,7 @@
 //! Runs the engine and service benchmark suites and writes
-//! `BENCH_engine.json` — the machine-readable perf record (dense vs
-//! sparse timings, derived speedup ratios, and job-service throughput)
-//! tracked across commits.
+//! `BENCH_engine.json` — the machine-readable perf record (kernel, solver
+//! and ADC timings, the observability overhead, and job-service
+//! throughput) tracked across commits.
 //!
 //! ```text
 //! cargo run --release -p symbist-bench --bin bench_engine [-- --quick] [--no-obs] [out.json]
@@ -9,9 +9,9 @@
 //!
 //! `--no-obs` disables the observability layer globally for the whole
 //! run, giving uninstrumented baseline numbers. The default (obs on)
-//! still measures both sides of the `transient_rc_1000_steps/obs` vs
-//! `/no_obs` pair by toggling the layer around that one benchmark; its
-//! derived `obs_overhead_pct` is the CI gate for the ≤ 3 % budget.
+//! still times the 1000-step RC transient with the layer on and off, by
+//! toggling it around that loop; the derived `obs_overhead_pct` is the CI
+//! gate for the ≤ 3 % budget.
 
 use symbist_bench::{engine_suite, harness::Harness, service_suite};
 
@@ -34,7 +34,7 @@ fn main() {
     };
     engine_suite::run(&mut h);
     service_suite::run(&mut h);
-    let mut derived = engine_suite::derived(&h);
+    let mut derived = engine_suite::derived();
     derived.extend(service_suite::derived(&h));
     print!("{}", h.report());
     for (name, value) in &derived {

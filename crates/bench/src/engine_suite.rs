@@ -1,17 +1,19 @@
 //! The engine benchmark suite, shared between `benches/engine.rs` (human
 //! run via `cargo bench`) and the `bench_engine` binary (machine-readable
-//! `BENCH_engine.json` for tracking speedups across commits).
+//! `BENCH_engine.json` for tracking timings across commits).
 //!
-//! Dense-vs-sparse pairs are benchmarked on the two hot shapes of the
-//! SymBIST experiments: the reference-ladder DC solve (the per-tap-code
-//! solve inside `refnet`) and the repeated transient step, plus the full
-//! 10-bit SAR conversion that composes them.
+//! It times the raw dense and sparse kernels, then the solver on the hot
+//! shapes of the SymBIST experiments — the reference-ladder DC solve (the
+//! per-tap-code solve inside `refnet`), a diode/MOS Newton solve, the
+//! repeated transient step — and the full 10-bit SAR conversion that
+//! composes them. Each solve runs on the path its netlist selects: sparse
+//! for the linear shapes, dense for the diode/MOS one.
 
 use std::sync::OnceLock;
 
 use crate::harness::Harness;
 use symbist_adc::{AdcConfig, SarAdc};
-use symbist_circuit::dc::{set_thread_default_engine, DcOptions, DcSolver, EngineChoice};
+use symbist_circuit::dc::DcSolver;
 use symbist_circuit::matrix::Matrix;
 use symbist_circuit::netlist::{MosPolarity, Netlist, NodeId};
 use symbist_circuit::rng::Rng;
@@ -21,13 +23,6 @@ use symbist_circuit::transient::{TransientOptions, TransientSim};
 /// Paired obs-on/obs-off overhead on the 1000-step RC transient,
 /// measured by `run` and read back by `derived`.
 static OBS_OVERHEAD_PCT: OnceLock<f64> = OnceLock::new();
-
-fn solver(engine: EngineChoice) -> DcSolver {
-    DcSolver::with_options(DcOptions {
-        engine,
-        ..Default::default()
-    })
-}
 
 /// A 32-segment 250 Ω reference ladder with tap loads — the same topology
 /// the SAR ADC's `refnet` solves once per tap code.
@@ -98,14 +93,9 @@ pub fn run(h: &mut Harness) {
         });
     }
 
-    // --- ladder DC: the refnet per-code solve, dense vs sparse ---------
+    // --- ladder DC: the refnet per-code solve ---------------------------
     let ladder = ladder_netlist();
-    h.bench("ladder_dc/dense", || {
-        solver(EngineChoice::Dense).solve(&ladder).unwrap()
-    });
-    h.bench("ladder_dc/sparse", || {
-        solver(EngineChoice::Sparse).solve(&ladder).unwrap()
-    });
+    h.bench("ladder_dc", || DcSolver::new().solve(&ladder).unwrap());
 
     // --- nonlinear Newton: diode + MOS, bandgap-branch size ------------
     {
@@ -122,7 +112,7 @@ pub fn run(h: &mut Harness) {
         h.bench("dc_newton_diode_mos", || dc.solve(&nl).unwrap());
     }
 
-    // --- transient: 1000 RC steps, dense vs sparse ---------------------
+    // --- transient: 1000 RC steps ---------------------------------------
     {
         let mut nl = Netlist::new();
         let s = nl.node("s");
@@ -130,15 +120,11 @@ pub fn run(h: &mut Harness) {
         nl.vsource(s, Netlist::GND, 1.0);
         nl.resistor(s, o, 1e3);
         nl.capacitor(o, Netlist::GND, 1e-9);
-        let run = |engine: EngineChoice| {
+        let run = || {
             let mut sim = TransientSim::new(
                 &nl,
                 TransientOptions {
                     dt: 1e-9,
-                    dc: DcOptions {
-                        engine,
-                        ..Default::default()
-                    },
                     ..Default::default()
                 },
             )
@@ -148,13 +134,10 @@ pub fn run(h: &mut Harness) {
             }
             sim.voltage(o)
         };
-        h.bench("transient_rc_1000_steps/dense", || run(EngineChoice::Dense));
-        h.bench("transient_rc_1000_steps/sparse", || {
-            run(EngineChoice::Sparse)
-        });
+        h.bench("transient_rc_1000_steps", run);
 
         // --- observability overhead on the hottest loop ----------------
-        // The same 1000-step sparse transient with the obs layer live vs
+        // The same 1000-step transient with the obs layer live vs
         // globally disabled; the derived `obs_overhead_pct` is the CI
         // gate for the "metrics cost ≤ 3 %" budget. Sequential whole-
         // bench timing lets machine drift dwarf a sub-3 % signal, so the
@@ -176,7 +159,7 @@ pub fn run(h: &mut Harness) {
                 let prev = symbist_obs::set_enabled(on);
                 let start = std::time::Instant::now();
                 for _ in 0..ITERS {
-                    std::hint::black_box(run(EngineChoice::Sparse));
+                    std::hint::black_box(run());
                 }
                 timed[usize::from(!on)] = start.elapsed().as_secs_f64();
                 symbist_obs::set_enabled(prev);
@@ -189,38 +172,21 @@ pub fn run(h: &mut Harness) {
     }
 
     // --- ADC-level composites: the full 10-bit SAR conversion -----------
-    // The solvers are buried inside the ADC models, so the thread-default
-    // override flips the whole stack between the engines.
     let adc = SarAdc::new(AdcConfig::default());
-    let convert = || adc.try_convert(0.123).expect("the healthy ADC converts");
-    let prev = set_thread_default_engine(EngineChoice::Dense);
-    h.bench("sar_conversion_10bit/dense", convert);
-    set_thread_default_engine(EngineChoice::Sparse);
-    h.bench("sar_conversion_10bit/sparse", convert);
-    set_thread_default_engine(prev);
+    h.bench("sar_conversion_10bit", || {
+        adc.try_convert(0.123).expect("the healthy ADC converts")
+    });
     h.bench("adc_symbist_observations", || {
         adc.try_symbist_observations(0.2)
             .expect("the healthy ADC simulates")
     });
 }
 
-/// Derived dense-over-sparse speedup ratios for the JSON report.
-pub fn derived(h: &Harness) -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    if let Some(s) = h.speedup("ladder_dc/dense", "ladder_dc/sparse") {
-        out.push(("ladder_dc_speedup", s));
-    }
-    if let Some(s) = h.speedup(
-        "transient_rc_1000_steps/dense",
-        "transient_rc_1000_steps/sparse",
-    ) {
-        out.push(("transient_rc_1000_steps_speedup", s));
-    }
-    if let Some(s) = h.speedup("sar_conversion_10bit/dense", "sar_conversion_10bit/sparse") {
-        out.push(("sar_conversion_speedup", s));
-    }
-    if let Some(pct) = OBS_OVERHEAD_PCT.get() {
-        out.push(("obs_overhead_pct", *pct));
-    }
-    out
+/// Derived figures for the JSON report: the observability overhead.
+pub fn derived() -> Vec<(&'static str, f64)> {
+    OBS_OVERHEAD_PCT
+        .get()
+        .map(|pct| ("obs_overhead_pct", *pct))
+        .into_iter()
+        .collect()
 }

@@ -250,7 +250,7 @@ impl AcSolver {
             let mut rhs = vec![Cplx::default(); dim];
             // gmin regularization, as in DC.
             for i in 0..(layout.node_count - 1) {
-                m.add(i, i, Cplx::new(self.dc.options().gmin, 0.0));
+                m.add(i, i, Cplx::new(crate::dc::GMIN, 0.0));
             }
 
             let stamp_g = |m: &mut CMatrix, a: NodeId, b: NodeId, g: Cplx| {

@@ -26,61 +26,29 @@ use crate::error::CircuitError;
 use crate::mna::{AssemblyCtx, CapCompanion, MnaEngine};
 use crate::netlist::{DeviceId, Netlist, NodeId};
 
-/// Which linear-solver path the Newton engine uses.
-///
-/// The sparse path (see [`crate::sparse`]) computes a fill-reducing ordering
-/// and symbolic factorization once per topology, caches the linear device
-/// stamps, and per iteration only re-stamps nonlinear deltas and runs a
-/// static-pivot numeric refactorization. The dense path assembles and
-/// LU-factorizes (with partial pivoting) the full matrix every iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineChoice {
-    /// Sparse with automatic dense fallback on pivot failure (default).
-    #[default]
-    Auto,
-    /// Dense only — the reference/oracle path.
-    Dense,
-    /// Sparse-first; still falls back to dense on a vanishing static pivot
-    /// (a genuinely singular iterate is reported identically either way).
-    Sparse,
-}
-
-thread_local! {
-    static THREAD_DEFAULT_ENGINE: std::cell::Cell<EngineChoice> =
-        const { std::cell::Cell::new(EngineChoice::Auto) };
-}
-
-/// Overrides what [`EngineChoice::Auto`] resolves to on the current thread
-/// and returns the previous override.
-///
-/// Every solver constructed with default options — including the ones
-/// buried inside higher-level code such as the ADC models — picks the
-/// thread default up, which makes whole-stack A/B comparisons (benchmarks,
-/// cross-checking a suspect sparse result against the dense oracle)
-/// possible without threading options through every layer. Setting
-/// [`EngineChoice::Auto`] restores the built-in default (sparse with dense
-/// fallback).
-pub fn set_thread_default_engine(choice: EngineChoice) -> EngineChoice {
-    THREAD_DEFAULT_ENGINE.with(|c| c.replace(choice))
-}
-
-/// Resolves `Auto` against the thread default; explicit choices win.
-pub(crate) fn resolve_engine(choice: EngineChoice) -> EngineChoice {
-    match choice {
-        EngineChoice::Auto => THREAD_DEFAULT_ENGINE.with(std::cell::Cell::get),
-        explicit => explicit,
-    }
-}
+/// Absolute node-voltage tolerance of the Newton convergence test, volts.
+const VNTOL: f64 = 1e-9;
+/// Relative tolerance of the Newton convergence test.
+const RELTOL: f64 = 1e-9;
+/// Maximum Newton iterations per solve attempt.
+pub(crate) const MAX_ITER: usize = 200;
+/// Baseline conductance to ground at every node.
+pub(crate) const GMIN: f64 = 1e-12;
+/// Largest per-iteration node-voltage update (damping).
+const MAX_STEP: f64 = 1.0;
+/// Number of gmin-stepping decades tried when plain Newton fails.
+const GMIN_STEPS: usize = 10;
+/// Number of source-stepping ramp points tried when gmin stepping fails.
+const SOURCE_STEPS: usize = 20;
 
 /// A per-thread bound on how much solver work one logical task may consume.
 ///
-/// Installed with [`set_thread_solve_budget`] using the same thread-local
-/// pattern as [`set_thread_default_engine`]: every Newton iteration run on
-/// the thread — DC operating points, continuation stages, transient steps,
-/// no matter how deeply buried inside higher-level models — charges against
-/// it. When either resource runs out the innermost solve returns
-/// [`CircuitError::BudgetExhausted`], which unwinds through `?`-threaded
-/// call chains back to whoever installed the budget.
+/// Installed per thread with [`set_thread_solve_budget`]: every Newton
+/// iteration run on the thread — DC operating points, continuation stages,
+/// transient steps, no matter how deeply buried inside higher-level models
+/// — charges against it. When either resource runs out the innermost solve
+/// returns [`CircuitError::BudgetExhausted`], which unwinds through
+/// `?`-threaded call chains back to whoever installed the budget.
 ///
 /// This is how the defect campaign keeps one pathological injected defect
 /// (e.g. a short that sends gmin stepping into deep continuation) from
@@ -188,43 +156,19 @@ impl Operating {
     }
 }
 
-/// Newton–Raphson convergence/continuation options.
+/// DC solve options.
 #[derive(Debug, Clone)]
 pub struct DcOptions {
-    /// Absolute node-voltage tolerance in volts.
-    pub vntol: f64,
-    /// Relative tolerance.
-    pub reltol: f64,
-    /// Maximum Newton iterations per solve attempt.
-    pub max_iter: usize,
-    /// Baseline conductance to ground at every node.
-    pub gmin: f64,
-    /// Largest per-iteration voltage update (damping).
-    pub max_step: f64,
-    /// Number of gmin-stepping decades to try on failure.
-    pub gmin_steps: usize,
-    /// Number of source-stepping ramp points to try on failure.
-    pub source_steps: usize,
     /// Simulation temperature in °C. Device models are referenced to
     /// 300 K = 26.85 °C, which is also the default (so nominal solves are
     /// bit-identical to the temperature-unaware model).
     pub temperature_c: f64,
-    /// Linear-solver engine selection.
-    pub engine: EngineChoice,
 }
 
 impl Default for DcOptions {
     fn default() -> Self {
         Self {
-            vntol: 1e-9,
-            reltol: 1e-9,
-            max_iter: 200,
-            gmin: 1e-12,
-            max_step: 1.0,
-            gmin_steps: 10,
-            source_steps: 20,
             temperature_c: 26.85,
-            engine: EngineChoice::default(),
         }
     }
 }
@@ -299,7 +243,7 @@ impl DcSolver {
         netlist: &Netlist,
         initial: Option<&[f64]>,
     ) -> Result<Operating, CircuitError> {
-        let mut asm = MnaEngine::new(netlist, self.options.engine);
+        let mut asm = MnaEngine::new(netlist);
         let dim = asm.layout().dim;
         let caps: Vec<Option<CapCompanion>> = vec![None; netlist.device_count()];
         let mut x = match initial {
@@ -308,15 +252,7 @@ impl DcSolver {
         };
 
         // Strategy 1: plain Newton at nominal gmin.
-        if self.newton(
-            netlist,
-            &mut asm,
-            &mut x,
-            0.0,
-            1.0,
-            self.options.gmin,
-            &caps,
-        )? {
+        if self.newton(netlist, &mut asm, &mut x, 0.0, 1.0, GMIN, &caps)? {
             return Ok(self.finish(&asm, x));
         }
 
@@ -325,35 +261,26 @@ impl DcSolver {
         let mut xg = vec![0.0; dim];
         let mut gmin = 1e-2;
         let mut ok = true;
-        for _ in 0..=self.options.gmin_steps {
+        for _ in 0..=GMIN_STEPS {
             if !self.newton(netlist, &mut asm, &mut xg, 0.0, 1.0, gmin, &caps)? {
                 ok = false;
                 break;
             }
-            if gmin <= self.options.gmin {
+            if gmin <= GMIN {
                 break;
             }
-            gmin = (gmin * 0.1).max(self.options.gmin);
+            gmin = (gmin * 0.1).max(GMIN);
         }
-        if ok && gmin <= self.options.gmin {
+        if ok && gmin <= GMIN {
             return Ok(self.finish(&asm, xg));
         }
 
         // Strategy 3: source stepping — ramp all sources from 0 to 100%.
         let mut xs = vec![0.0; dim];
-        let n = self.options.source_steps;
         let mut ok = true;
-        for k in 1..=n {
-            let scale = k as f64 / n as f64;
-            if !self.newton(
-                netlist,
-                &mut asm,
-                &mut xs,
-                0.0,
-                scale,
-                self.options.gmin,
-                &caps,
-            )? {
+        for k in 1..=SOURCE_STEPS {
+            let scale = k as f64 / SOURCE_STEPS as f64;
+            if !self.newton(netlist, &mut asm, &mut xs, 0.0, scale, GMIN, &caps)? {
                 ok = false;
                 break;
             }
@@ -364,7 +291,7 @@ impl DcSolver {
 
         Err(CircuitError::NoConvergence {
             analysis: "dc operating point",
-            iterations: self.options.max_iter,
+            iterations: MAX_ITER,
         })
     }
 
@@ -382,11 +309,11 @@ impl DcSolver {
     ) -> Result<bool, CircuitError> {
         let linear = !netlist.has_nonlinear();
         let node_unknowns = asm.layout().node_count - 1;
-        for iter in 0..self.options.max_iter {
+        for iter in 0..MAX_ITER {
             charge_newton_iteration()?;
             // Progressive damping: halve the step cap every 50 iterations
             // to break Newton limit cycles on stiff feedback loops.
-            let step_cap = self.options.max_step / f64::from(1 << (iter / 50).min(6) as u32);
+            let step_cap = MAX_STEP / f64::from(1 << (iter / 50).min(6) as u32);
             let ctx = AssemblyCtx {
                 time,
                 source_scale,
@@ -414,7 +341,7 @@ impl DcSolver {
                 }
                 x[i] += delta;
                 if i < node_unknowns {
-                    let tol = self.options.vntol + self.options.reltol * x[i].abs();
+                    let tol = VNTOL + RELTOL * x[i].abs();
                     if delta.abs() > tol {
                         max_delta = max_delta.max(delta.abs() / tol);
                     }

@@ -12,14 +12,15 @@
 //!
 //! * [`netlist`] — circuit capture: nodes, R/C, sources, switches, diodes,
 //!   level-1 MOSFETs, controlled sources.
-//! * `mna` (crate-internal) — Modified Nodal Analysis assembly with a
-//!   linear/nonlinear stamp split: linear devices are pre-stamped once per
-//!   topology, nonlinear deltas are re-stamped per Newton iteration.
+//! * `mna` (crate-internal) — Modified Nodal Analysis assembly and the
+//!   solve engine, which takes its factorization from the netlist: dense
+//!   for any diode or MOSFET, sparse otherwise.
 //! * [`sparse`] — KLU-style sparse LU: one-time symbolic analysis
 //!   (fill-reducing ordering + static fill-in pattern) per topology, fast
-//!   numeric refactorization per solve. The default engine.
-//! * [`matrix`] — dense LU with partial pivoting; the fallback path when a
-//!   static pivot vanishes and the cross-check oracle in tests.
+//!   numeric refactorization per solve. The engine for linear netlists.
+//! * [`matrix`] — dense LU with partial pivoting; the engine for nonlinear
+//!   netlists, the retry when a sparse static pivot vanishes, and the
+//!   cross-check oracle in tests.
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
 //! * [`transient`] — backward-Euler / trapezoidal integration; the netlist
 //!   is borrowed per step so digital controllers can flip switches, which is
@@ -57,6 +58,8 @@
 
 pub mod ac;
 pub mod dc;
+#[cfg(test)]
+mod engine_differential;
 pub mod error;
 pub mod matrix;
 pub mod mc;
@@ -70,7 +73,7 @@ pub mod transient;
 pub mod units;
 pub mod waveform;
 
-pub use dc::{set_thread_solve_budget, DcOptions, DcSolver, EngineChoice, Operating, SolveBudget};
+pub use dc::{set_thread_solve_budget, DcOptions, DcSolver, Operating, SolveBudget};
 pub use error::CircuitError;
 pub use netlist::{device_param_issue, Device, DeviceId, MosPolarity, Netlist, NodeId, SourceWave};
 pub use rng::Rng;

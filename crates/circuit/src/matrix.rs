@@ -1,10 +1,10 @@
 //! Dense linear algebra for MNA systems.
 //!
-//! The circuits in this reproduction (resistor ladders, SC arrays, bandgap
-//! cores) have at most a few hundred nodes, so a dense LU factorization with
-//! partial pivoting is both simpler and faster than a general sparse solver.
-//! The module still accepts stamp-style (row, col, value) accumulation so the
-//! assembly code reads like classic MNA.
+//! LU with partial pivoting factors every netlist with a diode or MOSFET
+//! (the bandgap cores), retries a sparse solve whose static pivot vanished,
+//! builds the SC array's step operators, and is the tests' oracle for the
+//! sparse path. The module accepts stamp-style (row, col, value)
+//! accumulation so the assembly code reads like classic MNA.
 //!
 //! # Examples
 //!

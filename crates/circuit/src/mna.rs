@@ -1,20 +1,22 @@
-//! Modified Nodal Analysis assembly.
+//! Modified Nodal Analysis assembly and solve.
 //!
 //! This module turns a [`Netlist`] plus an evaluation context (time, source
 //! scale, Newton guess, capacitor companion models) into the linear system
 //! `A x = b`, where `x` stacks non-ground node voltages followed by branch
-//! currents of voltage-defined elements.
+//! currents of voltage-defined elements, and solves it.
 //!
 //! The assembly is re-run at every Newton iteration / time step; the layout
-//! (index assignment) is computed once per topology.
+//! (index assignment) is computed once per topology. [`MnaEngine`] takes
+//! its factorization from the netlist: dense LU when it holds a diode or a
+//! MOSFET, sparse LU otherwise. One routine writes each linear device's
+//! matrix entries for both paths, and one writes the right-hand side.
 
 use crate::matrix::{Matrix, SingularMatrixError};
 use crate::netlist::{Device, DeviceId, MosPolarity, Netlist, NodeId};
-use crate::sparse::{analyze_cached, FnvHasher, Numeric, Symbolic};
+use crate::sparse::{Numeric, Symbolic};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::rc::Rc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Thermal voltage at room temperature, kT/q at 300 K.
 pub const VT_THERMAL: f64 = 0.025852;
@@ -148,7 +150,164 @@ pub(crate) struct AssemblyCtx<'a> {
     pub thermal: Thermal,
 }
 
-/// Reusable assembly buffers.
+/// The value of a capacitor's companion in this context, `None` in DC.
+#[inline]
+fn companion<'a>(ctx: &AssemblyCtx<'a>, id: DeviceId) -> Option<&'a CapCompanion> {
+    ctx.cap_companion.get(id.index()).and_then(Option::as_ref)
+}
+
+/// Stamps a conductance `g` between nodes `a` and `b`.
+#[inline]
+fn conductance(
+    layout: &MnaLayout,
+    a: NodeId,
+    b: NodeId,
+    g: f64,
+    add: &mut impl FnMut(usize, usize, f64),
+) {
+    let ia = layout.node_index(a);
+    let ib = layout.node_index(b);
+    if let Some(i) = ia {
+        add(i, i, g);
+    }
+    if let Some(j) = ib {
+        add(j, j, g);
+    }
+    if let (Some(i), Some(j)) = (ia, ib) {
+        add(i, j, -g);
+        add(j, i, -g);
+    }
+}
+
+/// Stamps a transconductance: current `gm * (v(cp) − v(cn))` from `p`
+/// through the element to `n`.
+#[inline]
+fn transconductance(
+    layout: &MnaLayout,
+    [p, n, cp, cn]: [NodeId; 4],
+    gm: f64,
+    add: &mut impl FnMut(usize, usize, f64),
+) {
+    for (row, sign) in [(p, gm), (n, -gm)] {
+        let Some(r) = layout.node_index(row) else {
+            continue;
+        };
+        if let Some(c) = layout.node_index(cp) {
+            add(r, c, sign);
+        }
+        if let Some(c) = layout.node_index(cn) {
+            add(r, c, -sign);
+        }
+    }
+}
+
+/// Stamps the ±1 incidence of branch `br` between nodes `p` and `n`.
+#[inline]
+fn incidence(
+    layout: &MnaLayout,
+    br: usize,
+    p: NodeId,
+    n: NodeId,
+    add: &mut impl FnMut(usize, usize, f64),
+) {
+    if let Some(ip) = layout.node_index(p) {
+        add(ip, br, 1.0);
+        add(br, ip, 1.0);
+    }
+    if let Some(in_) = layout.node_index(n) {
+        add(in_, br, -1.0);
+        add(br, in_, -1.0);
+    }
+}
+
+/// Stamps a current `i` flowing from node `p` through the element to
+/// node `n` (KCL: `i` leaves `p`, enters `n`).
+#[inline]
+fn current(layout: &MnaLayout, p: NodeId, n: NodeId, i: f64, rhs: &mut [f64]) {
+    if let Some(ip) = layout.node_index(p) {
+        rhs[ip] -= i;
+    }
+    if let Some(in_) = layout.node_index(n) {
+        rhs[in_] += i;
+    }
+}
+
+/// Writes the matrix entries of one linear device through
+/// `add(row, col, value)`: the one place they are spelled out, for the
+/// dense [`Assembler`], the sparse pattern discovery and the sparse base.
+///
+/// `cap_g` is a capacitor's companion conductance; `None` leaves it open,
+/// as in DC. Current sources, diodes and MOSFETs write nothing here.
+fn stamp_linear(
+    layout: &MnaLayout,
+    id: DeviceId,
+    dev: &Device,
+    cap_g: Option<f64>,
+    add: &mut impl FnMut(usize, usize, f64),
+) {
+    match dev {
+        Device::Resistor { a, b, ohms } => conductance(layout, *a, *b, 1.0 / ohms, add),
+        Device::Switch {
+            a,
+            b,
+            closed,
+            r_on,
+            r_off,
+        } => {
+            let r = if *closed { *r_on } else { *r_off };
+            conductance(layout, *a, *b, 1.0 / r, add);
+        }
+        Device::Capacitor { a, b, .. } => {
+            if let Some(g) = cap_g {
+                conductance(layout, *a, *b, g, add);
+            }
+        }
+        Device::VSource { p, n, .. } => incidence(layout, layout.branch_index(id), *p, *n, add),
+        Device::Vcvs { p, n, cp, cn, gain } => {
+            let br = layout.branch_index(id);
+            incidence(layout, br, *p, *n, add);
+            if let Some(icp) = layout.node_index(*cp) {
+                add(br, icp, -gain);
+            }
+            if let Some(icn) = layout.node_index(*cn) {
+                add(br, icn, *gain);
+            }
+        }
+        Device::Vccs { p, n, cp, cn, gm } => transconductance(layout, [*p, *n, *cp, *cn], *gm, add),
+        Device::ISource { .. } | Device::Diode { .. } | Device::Mosfet { .. } => {}
+    }
+}
+
+/// Adds one device's source terms to the right-hand side: independent
+/// sources at `ctx.time` times `ctx.source_scale`, and the capacitor
+/// companion currents. Both solve paths build their RHS through it.
+#[inline]
+fn stamp_sources(
+    layout: &MnaLayout,
+    id: DeviceId,
+    dev: &Device,
+    ctx: &AssemblyCtx<'_>,
+    rhs: &mut [f64],
+) {
+    match dev {
+        Device::VSource { wave, .. } => {
+            rhs[layout.branch_index(id)] += wave.at(ctx.time) * ctx.source_scale;
+        }
+        Device::ISource { p, n, wave } => {
+            current(layout, *p, *n, wave.at(ctx.time) * ctx.source_scale, rhs);
+        }
+        Device::Capacitor { a, b, .. } => {
+            // ieq is injected from b to a (i.e. it *feeds* node a) so that
+            // i_cap = g·v − ieq.
+            if let Some(comp) = companion(ctx, id) {
+                current(layout, *a, *b, -comp.ieq, rhs);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Reusable dense assembly buffers.
 #[derive(Debug)]
 pub(crate) struct Assembler {
     pub layout: MnaLayout,
@@ -167,153 +326,38 @@ impl Assembler {
         }
     }
 
-    #[inline]
-    fn v(&self, ctx: &AssemblyCtx<'_>, n: NodeId) -> f64 {
-        match self.layout.node_index(n) {
-            None => 0.0,
-            Some(i) => ctx.guess[i],
-        }
-    }
-
-    /// Stamps a conductance `g` between nodes `a` and `b`.
-    #[inline]
-    fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        let ia = self.layout.node_index(a);
-        let ib = self.layout.node_index(b);
-        if let Some(i) = ia {
-            self.matrix.add(i, i, g);
-        }
-        if let Some(j) = ib {
-            self.matrix.add(j, j, g);
-        }
-        if let (Some(i), Some(j)) = (ia, ib) {
-            self.matrix.add(i, j, -g);
-            self.matrix.add(j, i, -g);
-        }
-    }
-
-    /// Stamps a current `i` flowing from node `p` through the element to
-    /// node `n` (KCL: `i` leaves `p`, enters `n`).
-    #[inline]
-    fn stamp_current(&mut self, p: NodeId, n: NodeId, i: f64) {
-        if let Some(ip) = self.layout.node_index(p) {
-            self.rhs[ip] -= i;
-        }
-        if let Some(in_) = self.layout.node_index(n) {
-            self.rhs[in_] += i;
-        }
-    }
-
-    /// Stamps a transconductance: current `gm * (v(cp) − v(cn))` from `p`
-    /// through the element to `n`.
-    #[inline]
-    fn stamp_vccs(&mut self, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) {
-        let ip = self.layout.node_index(p);
-        let in_ = self.layout.node_index(n);
-        let icp = self.layout.node_index(cp);
-        let icn = self.layout.node_index(cn);
-        if let (Some(r), Some(c)) = (ip, icp) {
-            self.matrix.add(r, c, gm);
-        }
-        if let (Some(r), Some(c)) = (ip, icn) {
-            self.matrix.add(r, c, -gm);
-        }
-        if let (Some(r), Some(c)) = (in_, icp) {
-            self.matrix.add(r, c, -gm);
-        }
-        if let (Some(r), Some(c)) = (in_, icn) {
-            self.matrix.add(r, c, gm);
-        }
-    }
-
-    /// Assembles the full MNA system for the given context.
+    /// Assembles the full MNA system for the given context, diodes and
+    /// MOSFETs linearized at `ctx.guess`.
     pub(crate) fn assemble(&mut self, netlist: &Netlist, ctx: &AssemblyCtx<'_>) {
         self.matrix.clear();
         self.rhs.fill(0.0);
+        let layout = &self.layout;
+        let matrix = &mut self.matrix;
+        let rhs = &mut self.rhs;
+        let add = &mut |r: usize, c: usize, v: f64| matrix.add(r, c, v);
+        let v = |n: NodeId| layout.node_index(n).map_or(0.0, |i| ctx.guess[i]);
 
         // gmin from every non-ground node to ground keeps otherwise floating
         // nodes (e.g. capacitor-only nodes in DC) solvable.
         if ctx.gmin > 0.0 {
-            for i in 0..(self.layout.node_count - 1) {
-                self.matrix.add(i, i, ctx.gmin);
+            for i in 0..(layout.node_count - 1) {
+                add(i, i, ctx.gmin);
             }
         }
 
         for (id, dev) in netlist.iter() {
             match dev {
-                Device::Resistor { a, b, ohms } => {
-                    self.stamp_conductance(*a, *b, 1.0 / ohms);
-                }
-                Device::Switch {
-                    a,
-                    b,
-                    closed,
-                    r_on,
-                    r_off,
-                } => {
-                    let r = if *closed { *r_on } else { *r_off };
-                    self.stamp_conductance(*a, *b, 1.0 / r);
-                }
-                Device::Capacitor { a, b, .. } => {
-                    if let Some(Some(comp)) = ctx.cap_companion.get(id.index()) {
-                        self.stamp_conductance(*a, *b, comp.g);
-                        // ieq is injected from b to a (i.e. it *feeds* node a)
-                        // so that i_cap = g·v − ieq.
-                        self.stamp_current(*a, *b, -comp.ieq);
-                    }
-                    // DC: capacitor is an open circuit (gmin covers floating
-                    // nodes).
-                }
-                Device::VSource { p, n, wave } => {
-                    let br = self.layout.branch_index(id);
-                    let val = wave.at(ctx.time) * ctx.source_scale;
-                    if let Some(ip) = self.layout.node_index(*p) {
-                        self.matrix.add(ip, br, 1.0);
-                        self.matrix.add(br, ip, 1.0);
-                    }
-                    if let Some(in_) = self.layout.node_index(*n) {
-                        self.matrix.add(in_, br, -1.0);
-                        self.matrix.add(br, in_, -1.0);
-                    }
-                    self.rhs[br] += val;
-                }
-                Device::ISource { p, n, wave } => {
-                    let val = wave.at(ctx.time) * ctx.source_scale;
-                    self.stamp_current(*p, *n, val);
-                }
-                Device::Vcvs { p, n, cp, cn, gain } => {
-                    let br = self.layout.branch_index(id);
-                    if let Some(ip) = self.layout.node_index(*p) {
-                        self.matrix.add(ip, br, 1.0);
-                        self.matrix.add(br, ip, 1.0);
-                    }
-                    if let Some(in_) = self.layout.node_index(*n) {
-                        self.matrix.add(in_, br, -1.0);
-                        self.matrix.add(br, in_, -1.0);
-                    }
-                    if let Some(icp) = self.layout.node_index(*cp) {
-                        self.matrix.add(br, icp, -gain);
-                    }
-                    if let Some(icn) = self.layout.node_index(*cn) {
-                        self.matrix.add(br, icn, *gain);
-                    }
-                }
-                Device::Vccs { p, n, cp, cn, gm } => {
-                    self.stamp_vccs(*p, *n, *cp, *cn, *gm);
-                }
                 Device::Diode {
                     anode,
                     cathode,
                     i_sat,
                     ideality,
                 } => {
-                    let vd = self.v(ctx, *anode) - self.v(ctx, *cathode);
+                    let vd = v(*anode) - v(*cathode);
                     let nvt = ideality * ctx.thermal.vt();
-                    let is_eff = ctx.thermal.diode_is(*i_sat);
-                    let (i, g) = diode_eval(vd, is_eff, nvt);
-                    let ieq = i - g * vd;
-                    self.stamp_conductance(*anode, *cathode, g);
-                    self.stamp_current(*anode, *cathode, ieq);
+                    let (i, g) = diode_eval(vd, ctx.thermal.diode_is(*i_sat), nvt);
+                    conductance(layout, *anode, *cathode, g, add);
+                    current(layout, *anode, *cathode, i - g * vd, rhs);
                 }
                 Device::Mosfet {
                     d,
@@ -324,164 +368,155 @@ impl Assembler {
                     kp,
                     lambda,
                 } => {
-                    let vth_t = ctx.thermal.mos_vth(*vth);
-                    let kp_t = ctx.thermal.mos_kp(*kp);
-                    self.stamp_mosfet(ctx, *d, *g, *s, *polarity, vth_t, kp_t, *lambda);
+                    // Normalize to NMOS-like voltages. For PMOS we flip every
+                    // sign so that the same square-law expressions apply,
+                    // then flip the resulting current direction back.
+                    let sign = match polarity {
+                        MosPolarity::Nmos => 1.0,
+                        MosPolarity::Pmos => -1.0,
+                    };
+                    let (nvd, nvg, nvs) = (sign * v(*d), sign * v(*g), sign * v(*s));
+                    // The MOS is symmetric: if the normalized drain is below
+                    // the normalized source, exchange roles.
+                    let (hd, hs, nhd, nhs) = if nvd < nvs {
+                        (*s, *d, nvs, nvd)
+                    } else {
+                        (*d, *s, nvd, nvs)
+                    };
+                    let vgs = nvg - nhs;
+                    let vds = nhd - nhs;
+                    let (vth, kp) = (ctx.thermal.mos_vth(*vth), ctx.thermal.mos_kp(*kp));
+                    let (ids, gm, gds) = nmos_eval(vgs, vds, vth, kp, *lambda);
+                    // Companion: i(vgs, vds) ≈ ids + gm·Δvgs + gds·Δvds in
+                    // normalized space. The real current hd → hs expands to
+                    //   gm·(v(g) − v(hs)) + gds·(v(hd) − v(hs)) + sign·ieq
+                    // because for PMOS both the control voltage and the
+                    // output current flip sign (the two flips cancel in the
+                    // gm/gds terms).
+                    let ieq = ids - gm * vgs - gds * vds;
+                    conductance(layout, hd, hs, gds, add);
+                    transconductance(layout, [hd, hs, *g, hs], gm, add);
+                    current(layout, hd, hs, sign * ieq, rhs);
+                }
+                _ => {
+                    stamp_linear(layout, id, dev, companion(ctx, id).map(|c| c.g), add);
+                    stamp_sources(layout, id, dev, ctx, rhs);
                 }
             }
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn stamp_mosfet(
-        &mut self,
-        ctx: &AssemblyCtx<'_>,
-        d: NodeId,
-        g: NodeId,
-        s: NodeId,
-        polarity: MosPolarity,
-        vth: f64,
-        kp: f64,
-        lambda: f64,
-    ) {
-        let vd = self.v(ctx, d);
-        let vg = self.v(ctx, g);
-        let vs = self.v(ctx, s);
+/// FNV-1a-style hasher with a word-at-a-time fast path: the pool keys are
+/// long integer vectors and the default SipHash costs more than the lookup
+/// saves. Not DoS-resistant — fine for keys derived from our own netlists.
+#[derive(Default)]
+struct FnvHasher(u64);
 
-        // Normalize to NMOS-like voltages. For PMOS we flip every sign so
-        // that the same square-law expressions apply, then flip the
-        // resulting current direction back.
-        let sign = match polarity {
-            MosPolarity::Nmos => 1.0,
-            MosPolarity::Pmos => -1.0,
-        };
-        let (nvd, nvg, nvs) = (sign * vd, sign * vg, sign * vs);
+impl FnvHasher {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-        // The MOS is symmetric: if the normalized drain is below the
-        // normalized source, exchange roles.
-        let swapped = nvd < nvs;
-        let (hd, hs, nhd, nhs) = if swapped {
-            (s, d, nvs, nvd)
-        } else {
-            (d, s, nvd, nvs)
-        };
-
-        let vgs = nvg - nhs;
-        let vds = nhd - nhs;
-        let (ids, gm, gds) = nmos_eval(vgs, vds, vth, kp, lambda);
-
-        // Companion: i(vgs, vds) ≈ ids + gm·Δvgs + gds·Δvds.
-        // Current flows hd → hs in normalized space; `sign` maps it back.
-        // In original node space for PMOS, a positive normalized ids means
-        // current from hs to hd (i.e. source to drain), which the sign flip
-        // on the stamp handles because conductances are sign-invariant and
-        // the equivalent current flips direction.
-        // Real current hd → hs expands to
-        //   gm·(v(g) − v(hs)) + gds·(v(hd) − v(hs)) + sign·ieq
-        // because for PMOS both the control voltage and the output current
-        // flip sign (the two flips cancel in the gm/gds terms).
-        let ieq = ids - gm * vgs - gds * vds;
-        let _ = swapped;
-        self.stamp_conductance(hd, hs, gds);
-        self.stamp_vccs(hd, hs, g, hs, gm);
-        self.stamp_current(hd, hs, sign * ieq);
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let h = if self.0 == 0 { Self::SEED } else { self.0 };
+        self.0 = (h ^ v).wrapping_mul(Self::PRIME);
     }
 }
 
-/// Precomputed sparse-pattern slots for one diode (the four conductance
-/// positions over `{anode, cathode}²`; `None` where a terminal is ground).
-#[derive(Debug, Clone, Copy, Default)]
-struct DiodeSlots {
-    aa: Option<usize>,
-    kk: Option<usize>,
-    ak: Option<usize>,
-    ka: Option<usize>,
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Word-at-a-time: std hashes integer-slice keys as one big byte
+        // write, and a per-byte loop over a kilobyte-sized key would cost
+        // more than the cached assembler it guards.
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            self.mix(u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// Precomputed sparse-pattern slots for one MOSFET: all positions the stamp
-/// can touch in either drain/source orientation, `{d,s} × {d,s,g}`.
-#[derive(Debug, Clone, Copy, Default)]
-struct MosSlots {
-    dd: Option<usize>,
-    ds: Option<usize>,
-    sd: Option<usize>,
-    ss: Option<usize>,
-    dg: Option<usize>,
-    sg: Option<usize>,
-}
-
-/// Per-device nonlinear stamp plan, indexed by device id.
-#[derive(Debug, Clone, Copy)]
-enum NonlinearSlots {
-    /// Device is linear (or RHS-only); nothing to re-stamp per iteration.
-    None,
-    Diode(DiodeSlots),
-    Mos(MosSlots),
-}
-
-/// Sparse MNA assembler with a linear/nonlinear stamp split.
+/// Sparse MNA assembler for linear netlists.
 ///
-/// The expensive per-topology work — sparsity-pattern discovery, fill-reducing
-/// ordering, symbolic factorization, and stamping of all *linear* devices —
-/// happens once. Each Newton iteration then only copies the cached linear
-/// base values, adds the nonlinear deltas (diode and MOSFET conductances at
-/// the current guess), rebuilds the right-hand side, and runs the static-
-/// pattern numeric refactorization from [`crate::sparse`].
+/// The per-topology work — sparsity-pattern discovery, fill-reducing
+/// ordering and symbolic factorization — happens once. The matrix values
+/// (the *base*) are rebuilt only when a device value changed, and the
+/// static-pattern numeric refactorization from [`crate::sparse`] is skipped
+/// while the base is bit-identical to the values last factored; per solve
+/// only the right-hand side is rebuilt.
 ///
-/// Linear device values *can* change between solves (switches toggled by the
-/// SAR controller, capacitor companions when `dt` changes, `gmin` stepping);
-/// a per-device fingerprint detects that and rebuilds the base lazily.
+/// Device values *can* change between solves (switches toggled by the SAR
+/// controller, capacitor companions when `dt` changes, `gmin` stepping); a
+/// per-device fingerprint detects that and rebuilds the base lazily.
 #[derive(Debug)]
 pub(crate) struct SparseAssembler {
-    symbolic: Rc<Symbolic>,
+    symbolic: Symbolic,
     numeric: Numeric,
-    /// Cached values of the linear portion of the matrix.
+    /// Matrix values in pattern-slot order.
     base: Vec<f64>,
-    /// Scratch: base + nonlinear deltas for the current iteration.
-    work: Vec<f64>,
-    /// The values the current factorization was computed from; when `work`
-    /// comes out bit-identical (linear circuits after the first iteration,
-    /// converged Newton re-checks), the refactorization is skipped.
+    /// The values the current factorization was computed from (NaN when
+    /// there is none); while `base` bit-matches them the refactorization
+    /// is skipped.
     factored: Vec<f64>,
-    pub rhs: Vec<f64>,
-    /// Per-device linear fingerprint; a change forces a base rebuild.
+    rhs: Vec<f64>,
+    /// Per-device matrix value the base was built from; a change forces a
+    /// rebuild. Sources stay NaN: they only move the RHS.
     fingerprint: Vec<f64>,
-    /// gmin the base was built with (part of the fingerprint).
+    /// gmin the base was built with (NaN before the first build).
     base_gmin: f64,
-    /// `true` until the first base build.
-    base_dirty: bool,
-    /// Per-device nonlinear stamp plans.
-    nonlinear: Vec<NonlinearSlots>,
     /// Structure key this assembler was built for; used to return it to the
-    /// per-topology cache when the owning engine is dropped.
+    /// per-topology pool when the owning engine is dropped.
     key: Vec<u64>,
 }
 
-type AssemblerCache = HashMap<Vec<u64>, SparseAssembler, BuildHasherDefault<FnvHasher>>;
+type AssemblerPool = HashMap<Vec<u64>, SparseAssembler, BuildHasherDefault<FnvHasher>>;
 
 thread_local! {
-    static ASSEMBLER_CACHE: RefCell<AssemblerCache> = RefCell::new(HashMap::default());
+    static ASSEMBLER_POOL: RefCell<AssemblerPool> = RefCell::new(HashMap::default());
 }
 
-/// Entry cap on the per-thread assembler cache (cleared on overflow). Sized
+/// Entry cap on the per-thread assembler pool (cleared on overflow). Sized
 /// for the worst realistic topology count: a defect campaign injecting a
 /// few hundred structural shorts/opens into one netlist.
-const ASSEMBLER_CACHE_CAP: usize = 256;
+const ASSEMBLER_POOL_CAP: usize = 256;
 
 impl SparseAssembler {
-    /// A cheap structural fingerprint of the netlist: device kinds and node
-    /// wiring, excluding every value (resistances, source levels, switch
-    /// state, MOS parameters) — those are handled per solve by the
-    /// per-device value fingerprint and the RHS rebuild.
+    /// A cheap structural fingerprint of the netlist: per device, its stamp
+    /// shape and node wiring, excluding every value (resistances, source
+    /// levels, switch state) — those are handled per solve by the
+    /// per-device value fingerprint and the RHS rebuild. Resistors,
+    /// switches and capacitors all stamp a conductance between two nodes,
+    /// so they share a shape: a switch opened into a resistor keeps its
+    /// topology's assembler.
     fn structure_key(netlist: &Netlist, dim: usize) -> Vec<u64> {
         let mut key = Vec::with_capacity(1 + netlist.device_count() * 4);
         key.push(dim as u64);
-        let node = |n: &crate::netlist::NodeId| n.index() as u64;
+        let node = |n: &NodeId| n.index() as u64;
         for (_, dev) in netlist.iter() {
             match dev {
-                Device::Resistor { a, b, .. } => key.extend([1, node(a), node(b)]),
-                Device::Switch { a, b, .. } => key.extend([2, node(a), node(b)]),
-                Device::Capacitor { a, b, .. } => key.extend([3, node(a), node(b)]),
+                Device::Resistor { a, b, .. }
+                | Device::Switch { a, b, .. }
+                | Device::Capacitor { a, b, .. } => key.extend([1, node(a), node(b)]),
                 Device::Diode { anode, cathode, .. } => {
                     key.extend([4, node(anode), node(cathode)]);
                 }
@@ -501,515 +536,162 @@ impl SparseAssembler {
         key
     }
 
-    /// Fetches the assembler for this topology from the per-thread cache, or
-    /// builds one on first sight. The caller owns it until [`Self::release`].
+    /// Checks the assembler for this topology out of the per-thread pool,
+    /// or builds one on first sight. The caller owns it until
+    /// [`Self::release`].
     ///
-    /// A cached assembler may carry state from a *different netlist* of the
+    /// A pooled assembler may carry state from a *different netlist* of the
     /// same structure (other Monte-Carlo sample, toggled switches); that is
-    /// safe by construction — the value fingerprint rebuilds the linear base
-    /// on mismatch, nonlinear stamps and the RHS are rebuilt from the actual
-    /// netlist every iteration, and the numeric factorization is refreshed
-    /// whenever the assembled values change.
-    pub(crate) fn obtain(netlist: &Netlist, layout: &MnaLayout) -> Self {
+    /// safe by construction — the value fingerprint rebuilds the base on
+    /// mismatch, the RHS is rebuilt from the actual netlist every solve,
+    /// and the numeric factorization is refreshed whenever the base
+    /// changes.
+    fn obtain(netlist: &Netlist, layout: &MnaLayout) -> Self {
         let key = Self::structure_key(netlist, layout.dim);
-        let cached = ASSEMBLER_CACHE.with(|c| c.borrow_mut().remove(&key));
-        let mut asm = cached.unwrap_or_else(|| Self::new(netlist, layout));
+        let pooled = ASSEMBLER_POOL.with(|c| c.borrow_mut().remove(&key));
+        let mut asm = pooled.unwrap_or_else(|| Self::new(netlist, layout));
         asm.key = key;
         asm
     }
 
-    /// Returns the assembler to the per-thread cache for the next engine on
+    /// Returns the assembler to the per-thread pool for the next engine on
     /// the same topology.
     fn release(mut self) {
         let key = std::mem::take(&mut self.key);
-        if key.is_empty() {
-            return;
-        }
         // `try_with`: drops during thread teardown must not panic.
-        let _ = ASSEMBLER_CACHE.try_with(|c| {
-            let mut cache = c.borrow_mut();
-            if cache.len() >= ASSEMBLER_CACHE_CAP {
-                cache.clear();
+        let _ = ASSEMBLER_POOL.try_with(|c| {
+            let mut pool = c.borrow_mut();
+            if pool.len() >= ASSEMBLER_POOL_CAP {
+                pool.clear();
             }
-            cache.insert(key, self);
+            pool.insert(key, self);
         });
     }
 
-    pub(crate) fn new(netlist: &Netlist, layout: &MnaLayout) -> Self {
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        let sym = |a: Option<usize>, b: Option<usize>, out: &mut Vec<(usize, usize)>| {
-            if let Some(i) = a {
-                out.push((i, i));
-            }
-            if let Some(j) = b {
-                out.push((j, j));
-            }
-            if let (Some(i), Some(j)) = (a, b) {
-                out.push((i, j));
-                out.push((j, i));
-            }
-        };
+    fn new(netlist: &Netlist, layout: &MnaLayout) -> Self {
+        // Pooled assemblers serve DC and transient contexts alike, so the
+        // pattern holds every position either can touch: capacitors count
+        // as stamped, and `Symbolic::analyze` adds the gmin diagonal.
+        let mut entries = Vec::new();
         for (id, dev) in netlist.iter() {
-            match dev {
-                Device::Resistor { a, b, .. }
-                | Device::Switch { a, b, .. }
-                | Device::Capacitor { a, b, .. } => {
-                    sym(layout.node_index(*a), layout.node_index(*b), &mut entries);
-                }
-                Device::Diode { anode, cathode, .. } => {
-                    sym(
-                        layout.node_index(*anode),
-                        layout.node_index(*cathode),
-                        &mut entries,
-                    );
-                }
-                Device::VSource { p, n, .. } => {
-                    let br = layout.branch_index(id);
-                    for i in [layout.node_index(*p), layout.node_index(*n)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        entries.push((i, br));
-                        entries.push((br, i));
-                    }
-                }
-                Device::Vcvs { p, n, cp, cn, .. } => {
-                    let br = layout.branch_index(id);
-                    for i in [layout.node_index(*p), layout.node_index(*n)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        entries.push((i, br));
-                        entries.push((br, i));
-                    }
-                    for i in [layout.node_index(*cp), layout.node_index(*cn)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        entries.push((br, i));
-                    }
-                }
-                Device::Vccs { p, n, cp, cn, .. } => {
-                    for row in [layout.node_index(*p), layout.node_index(*n)] {
-                        for col in [layout.node_index(*cp), layout.node_index(*cn)] {
-                            if let (Some(r), Some(c)) = (row, col) {
-                                entries.push((r, c));
-                            }
-                        }
-                    }
-                }
-                Device::Mosfet { d, g, s, .. } => {
-                    // The symmetric-MOS stamp can swap drain and source per
-                    // iteration; reserve every position either orientation
-                    // can touch.
-                    for row in [layout.node_index(*d), layout.node_index(*s)] {
-                        for col in [
-                            layout.node_index(*d),
-                            layout.node_index(*s),
-                            layout.node_index(*g),
-                        ] {
-                            if let (Some(r), Some(c)) = (row, col) {
-                                entries.push((r, c));
-                            }
-                        }
-                    }
-                }
-                Device::ISource { .. } => {}
-            }
+            stamp_linear(layout, id, dev, Some(0.0), &mut |r, c, _| {
+                entries.push((r, c));
+            });
         }
-        let symbolic = analyze_cached(layout.dim, &entries);
-        let numeric = Numeric::new(&symbolic);
-
-        // Precompute per-iteration stamp slots for the nonlinear devices.
-        let slot2 = |sym: &Symbolic, r: Option<usize>, c: Option<usize>| match (r, c) {
-            (Some(r), Some(c)) => sym.slot(r, c),
-            _ => None,
-        };
-        let nonlinear = netlist
-            .iter()
-            .map(|(_, dev)| match dev {
-                Device::Diode { anode, cathode, .. } => {
-                    let a = layout.node_index(*anode);
-                    let k = layout.node_index(*cathode);
-                    NonlinearSlots::Diode(DiodeSlots {
-                        aa: slot2(&symbolic, a, a),
-                        kk: slot2(&symbolic, k, k),
-                        ak: slot2(&symbolic, a, k),
-                        ka: slot2(&symbolic, k, a),
-                    })
-                }
-                Device::Mosfet { d, g, s, .. } => {
-                    let id = layout.node_index(*d);
-                    let ig = layout.node_index(*g);
-                    let is = layout.node_index(*s);
-                    NonlinearSlots::Mos(MosSlots {
-                        dd: slot2(&symbolic, id, id),
-                        ds: slot2(&symbolic, id, is),
-                        sd: slot2(&symbolic, is, id),
-                        ss: slot2(&symbolic, is, is),
-                        dg: slot2(&symbolic, id, ig),
-                        sg: slot2(&symbolic, is, ig),
-                    })
-                }
-                _ => NonlinearSlots::None,
-            })
-            .collect();
-
+        let symbolic = Symbolic::analyze(layout.dim, &entries);
         let nnz = symbolic.nnz();
         Self {
+            numeric: Numeric::new(&symbolic),
             symbolic,
-            numeric,
             base: vec![0.0; nnz],
-            work: vec![0.0; nnz],
             factored: vec![f64::NAN; nnz],
             rhs: vec![0.0; layout.dim],
             fingerprint: vec![f64::NAN; netlist.device_count()],
             base_gmin: f64::NAN,
-            base_dirty: true,
-            nonlinear,
             key: Vec::new(),
         }
     }
 
-    /// The linear-portion value a device contributes to the matrix; when it
-    /// changes, the cached base is stale. RHS-only changes (source values,
-    /// companion `ieq`) deliberately do not appear here.
-    fn linear_value(dev: &Device, companion: Option<&CapCompanion>) -> f64 {
-        match dev {
-            Device::Resistor { ohms, .. } => 1.0 / ohms,
-            Device::Switch {
-                closed,
-                r_on,
-                r_off,
-                ..
-            } => 1.0 / if *closed { *r_on } else { *r_off },
-            Device::Capacitor { .. } => companion.map_or(0.0, |c| c.g),
-            Device::Vcvs { gain, .. } => *gain,
-            Device::Vccs { gm, .. } => *gm,
-            // Sources only move the RHS; diodes and MOSFETs are re-stamped
-            // every iteration anyway.
-            _ => 0.0,
-        }
-    }
-
-    /// Rebuilds the cached linear base if any linear value changed.
-    fn refresh_base(&mut self, netlist: &Netlist, layout: &MnaLayout, ctx: &AssemblyCtx<'_>) {
-        let mut stale = self.base_dirty || self.base_gmin != ctx.gmin;
-        for (id, dev) in netlist.iter() {
-            let comp = ctx.cap_companion.get(id.index()).and_then(|c| c.as_ref());
-            let v = Self::linear_value(dev, comp);
-            if self.fingerprint[id.index()].to_bits() != v.to_bits() {
-                self.fingerprint[id.index()] = v;
-                stale = true;
-            }
-        }
-        if !stale {
-            return;
-        }
-        self.base.fill(0.0);
-        fn add(sym: &Symbolic, base: &mut [f64], r: usize, c: usize, v: f64) {
-            let s = sym.slot(r, c).expect("position in pattern");
-            base[s] += v;
-        }
-        fn conductance(
-            sym: &Symbolic,
-            base: &mut [f64],
-            a: Option<usize>,
-            b: Option<usize>,
-            g: f64,
-        ) {
-            if let Some(i) = a {
-                add(sym, base, i, i, g);
-            }
-            if let Some(j) = b {
-                add(sym, base, j, j, g);
-            }
-            if let (Some(i), Some(j)) = (a, b) {
-                add(sym, base, i, j, -g);
-                add(sym, base, j, i, -g);
-            }
-        }
-        let sym = &self.symbolic;
-        let base = &mut self.base;
-        if ctx.gmin > 0.0 {
-            for i in 0..(layout.node_count - 1) {
-                add(sym, base, i, i, ctx.gmin);
-            }
-        }
-        for (id, dev) in netlist.iter() {
-            match dev {
-                Device::Resistor { a, b, ohms } => {
-                    conductance(
-                        sym,
-                        base,
-                        layout.node_index(*a),
-                        layout.node_index(*b),
-                        1.0 / ohms,
-                    );
-                }
+    /// Rebuilds the base if any device value changed. Returns `false` when
+    /// the netlist holds a diode or MOSFET, which this assembler cannot
+    /// stamp.
+    fn refresh_base(
+        &mut self,
+        netlist: &Netlist,
+        layout: &MnaLayout,
+        ctx: &AssemblyCtx<'_>,
+    ) -> bool {
+        let mut stale = self.base_gmin != ctx.gmin;
+        for ((id, dev), seen) in netlist.iter().zip(&mut self.fingerprint) {
+            let v = match dev {
+                Device::Resistor { ohms, .. } => 1.0 / ohms,
                 Device::Switch {
-                    a,
-                    b,
                     closed,
                     r_on,
                     r_off,
-                } => {
-                    let r = if *closed { *r_on } else { *r_off };
-                    conductance(
-                        sym,
-                        base,
-                        layout.node_index(*a),
-                        layout.node_index(*b),
-                        1.0 / r,
-                    );
-                }
-                Device::Capacitor { a, b, .. } => {
-                    if let Some(Some(comp)) = ctx.cap_companion.get(id.index()) {
-                        conductance(
-                            sym,
-                            base,
-                            layout.node_index(*a),
-                            layout.node_index(*b),
-                            comp.g,
-                        );
-                    }
-                }
-                Device::VSource { p, n, .. } => {
-                    let br = layout.branch_index(id);
-                    if let Some(ip) = layout.node_index(*p) {
-                        add(sym, base, ip, br, 1.0);
-                        add(sym, base, br, ip, 1.0);
-                    }
-                    if let Some(in_) = layout.node_index(*n) {
-                        add(sym, base, in_, br, -1.0);
-                        add(sym, base, br, in_, -1.0);
-                    }
-                }
-                Device::Vcvs { p, n, cp, cn, gain } => {
-                    let br = layout.branch_index(id);
-                    if let Some(ip) = layout.node_index(*p) {
-                        add(sym, base, ip, br, 1.0);
-                        add(sym, base, br, ip, 1.0);
-                    }
-                    if let Some(in_) = layout.node_index(*n) {
-                        add(sym, base, in_, br, -1.0);
-                        add(sym, base, br, in_, -1.0);
-                    }
-                    if let Some(icp) = layout.node_index(*cp) {
-                        add(sym, base, br, icp, -gain);
-                    }
-                    if let Some(icn) = layout.node_index(*cn) {
-                        add(sym, base, br, icn, *gain);
-                    }
-                }
-                Device::Vccs { p, n, cp, cn, gm } => {
-                    let rows = [(layout.node_index(*p), *gm), (layout.node_index(*n), -*gm)];
-                    for (row, s) in rows {
-                        if let Some(r) = row {
-                            if let Some(c) = layout.node_index(*cp) {
-                                add(sym, base, r, c, s);
-                            }
-                            if let Some(c) = layout.node_index(*cn) {
-                                add(sym, base, r, c, -s);
-                            }
-                        }
-                    }
-                }
-                // Sources only touch the RHS; nonlinear devices are stamped
-                // per iteration on top of the base.
-                Device::ISource { .. } | Device::Diode { .. } | Device::Mosfet { .. } => {}
+                    ..
+                } => 1.0 / if *closed { *r_on } else { *r_off },
+                Device::Capacitor { .. } => companion(ctx, id).map_or(0.0, |c| c.g),
+                Device::Vcvs { gain, .. } => *gain,
+                Device::Vccs { gm, .. } => *gm,
+                Device::VSource { .. } | Device::ISource { .. } => continue,
+                Device::Diode { .. } | Device::Mosfet { .. } => return false,
+            };
+            if seen.to_bits() != v.to_bits() {
+                *seen = v;
+                stale = true;
             }
         }
-        self.base_gmin = ctx.gmin;
-        self.base_dirty = false;
+        if stale {
+            self.base.fill(0.0);
+            let (sym, base) = (&self.symbolic, &mut self.base);
+            let add = &mut |r: usize, c: usize, v: f64| {
+                base[sym.slot(r, c).expect("position in pattern")] += v;
+            };
+            if ctx.gmin > 0.0 {
+                for i in 0..(layout.node_count - 1) {
+                    add(i, i, ctx.gmin);
+                }
+            }
+            for (id, dev) in netlist.iter() {
+                stamp_linear(layout, id, dev, companion(ctx, id).map(|c| c.g), add);
+            }
+            self.base_gmin = ctx.gmin;
+        }
+        true
     }
 
-    /// Assembles (incrementally) and solves the MNA system. Returns
-    /// `true` when a numeric refactorization was performed, `false` when
-    /// the bit-identical-matrix check allowed it to be skipped — the
-    /// engine turns this into the refactor-skip hit-rate metrics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] when the static-pivot refactorization
-    /// hits a numerically vanishing pivot; the caller may retry on the dense
-    /// partially-pivoted path.
-    pub(crate) fn assemble_and_solve(
+    /// Assembles and solves the MNA system into `x_out`. Returns
+    /// `Some(true)` when a numeric refactorization was performed,
+    /// `Some(false)` when the bit-identical-base check allowed it to be
+    /// skipped — the engine turns this into the refactor-skip metrics —
+    /// and `None` when this path cannot solve the system: a static pivot
+    /// vanished, or the netlist is not linear. The caller then solves it
+    /// dense.
+    fn assemble_and_solve(
         &mut self,
         netlist: &Netlist,
         layout: &MnaLayout,
         ctx: &AssemblyCtx<'_>,
         x_out: &mut [f64],
-    ) -> Result<bool, SingularMatrixError> {
-        self.refresh_base(netlist, layout, ctx);
-        self.work.copy_from_slice(&self.base);
-        self.rhs.fill(0.0);
-
-        let v = |n: NodeId| match layout.node_index(n) {
-            None => 0.0,
-            Some(i) => ctx.guess[i],
-        };
-
-        for (id, dev) in netlist.iter() {
-            match dev {
-                Device::VSource { p: _, n: _, wave } => {
-                    let br = layout.branch_index(id);
-                    self.rhs[br] += wave.at(ctx.time) * ctx.source_scale;
-                }
-                Device::ISource { p, n, wave } => {
-                    let i = wave.at(ctx.time) * ctx.source_scale;
-                    if let Some(ip) = layout.node_index(*p) {
-                        self.rhs[ip] -= i;
-                    }
-                    if let Some(in_) = layout.node_index(*n) {
-                        self.rhs[in_] += i;
-                    }
-                }
-                Device::Capacitor { a, b, .. } => {
-                    if let Some(Some(comp)) = ctx.cap_companion.get(id.index()) {
-                        // ieq feeds node a: i(a→b) = −ieq on the source term.
-                        if let Some(ia) = layout.node_index(*a) {
-                            self.rhs[ia] += comp.ieq;
-                        }
-                        if let Some(ib) = layout.node_index(*b) {
-                            self.rhs[ib] -= comp.ieq;
-                        }
-                    }
-                }
-                Device::Diode {
-                    anode,
-                    cathode,
-                    i_sat,
-                    ideality,
-                } => {
-                    let NonlinearSlots::Diode(slots) = self.nonlinear[id.index()] else {
-                        unreachable!("diode slot plan missing");
-                    };
-                    let vd = v(*anode) - v(*cathode);
-                    let nvt = ideality * ctx.thermal.vt();
-                    let is_eff = ctx.thermal.diode_is(*i_sat);
-                    let (i, g) = diode_eval(vd, is_eff, nvt);
-                    let ieq = i - g * vd;
-                    if let Some(s) = slots.aa {
-                        self.work[s] += g;
-                    }
-                    if let Some(s) = slots.kk {
-                        self.work[s] += g;
-                    }
-                    if let Some(s) = slots.ak {
-                        self.work[s] -= g;
-                    }
-                    if let Some(s) = slots.ka {
-                        self.work[s] -= g;
-                    }
-                    if let Some(ia) = layout.node_index(*anode) {
-                        self.rhs[ia] -= ieq;
-                    }
-                    if let Some(ik) = layout.node_index(*cathode) {
-                        self.rhs[ik] += ieq;
-                    }
-                }
-                Device::Mosfet {
-                    d,
-                    g,
-                    s,
-                    polarity,
-                    vth,
-                    kp,
-                    lambda,
-                } => {
-                    let NonlinearSlots::Mos(slots) = self.nonlinear[id.index()] else {
-                        unreachable!("mosfet slot plan missing");
-                    };
-                    let vth_t = ctx.thermal.mos_vth(*vth);
-                    let kp_t = ctx.thermal.mos_kp(*kp);
-                    let sign = match polarity {
-                        MosPolarity::Nmos => 1.0,
-                        MosPolarity::Pmos => -1.0,
-                    };
-                    let (nvd, nvg, nvs) = (sign * v(*d), sign * v(*g), sign * v(*s));
-                    let swapped = nvd < nvs;
-                    let (nhd, nhs) = if swapped { (nvs, nvd) } else { (nvd, nvs) };
-                    let vgs = nvg - nhs;
-                    let vds = nhd - nhs;
-                    let (ids, gm, gds) = nmos_eval(vgs, vds, vth_t, kp_t, *lambda);
-                    let ieq = ids - gm * vgs - gds * vds;
-                    // Conductance gds between hd and hs = between d and s.
-                    if let Some(sl) = slots.dd {
-                        self.work[sl] += gds;
-                    }
-                    if let Some(sl) = slots.ss {
-                        self.work[sl] += gds;
-                    }
-                    if let Some(sl) = slots.ds {
-                        self.work[sl] -= gds;
-                    }
-                    if let Some(sl) = slots.sd {
-                        self.work[sl] -= gds;
-                    }
-                    // VCCS gm from (g, hs) driving hd → hs.
-                    let (hd_g, hd_hs, hs_g, hs_hs) = if swapped {
-                        (slots.sg, slots.sd, slots.dg, slots.dd)
-                    } else {
-                        (slots.dg, slots.ds, slots.sg, slots.ss)
-                    };
-                    if let Some(sl) = hd_g {
-                        self.work[sl] += gm;
-                    }
-                    if let Some(sl) = hd_hs {
-                        self.work[sl] -= gm;
-                    }
-                    if let Some(sl) = hs_g {
-                        self.work[sl] -= gm;
-                    }
-                    if let Some(sl) = hs_hs {
-                        self.work[sl] += gm;
-                    }
-                    // Equivalent current hd → hs, mapped back by `sign`.
-                    let (hd, hs) = if swapped { (*s, *d) } else { (*d, *s) };
-                    if let Some(i) = layout.node_index(hd) {
-                        self.rhs[i] -= sign * ieq;
-                    }
-                    if let Some(i) = layout.node_index(hs) {
-                        self.rhs[i] += sign * ieq;
-                    }
-                }
-                Device::Resistor { .. }
-                | Device::Switch { .. }
-                | Device::Vcvs { .. }
-                | Device::Vccs { .. } => {}
-            }
+    ) -> Option<bool> {
+        if !self.refresh_base(netlist, layout, ctx) {
+            return None;
         }
-
-        // NaN-initialized `factored` never bit-matches, so the first
-        // iteration always factors.
+        self.rhs.fill(0.0);
+        for (id, dev) in netlist.iter() {
+            stamp_sources(layout, id, dev, ctx, &mut self.rhs);
+        }
         let same = self
-            .work
+            .base
             .iter()
             .zip(&self.factored)
-            .all(|(w, f)| w.to_bits() == f.to_bits());
+            .all(|(b, f)| b.to_bits() == f.to_bits());
         if !same {
-            self.numeric.refactor(&self.symbolic, &self.work)?;
-            self.factored.copy_from_slice(&self.work);
+            if self.numeric.refactor(&self.symbolic, &self.base).is_err() {
+                // The failed refactorization overwrote part of the factor.
+                self.factored.fill(f64::NAN);
+                return None;
+            }
+            self.factored.copy_from_slice(&self.base);
         }
         self.numeric.solve_into(&self.symbolic, &self.rhs, x_out);
-        Ok(!same)
+        Some(!same)
     }
 }
 
-/// Solver engine: sparse split-assembly path with the dense partially-pivoted
-/// path as fallback and cross-check oracle.
+/// Solver engine. The netlist picks the factorization at construction: a
+/// netlist with any diode or MOSFET solves every system by dense LU with
+/// partial pivoting; a linear one solves sparse, and a solve whose static
+/// pivot vanishes is retried dense.
 #[derive(Debug)]
 pub(crate) struct MnaEngine {
     dense: Assembler,
+    /// The sparse path, `None` for nonlinear netlists.
     sparse: Option<SparseAssembler>,
     /// Solution buffer reused across iterations; [`MnaEngine::assemble_and_solve`]
     /// hands out a borrow of it so the hot loop never allocates.
     solution: Vec<f64>,
-    /// Consecutive sparse pivot failures; the engine goes sticky-dense after
-    /// a few so a topology that genuinely defeats static pivoting does not
-    /// pay for a doomed refactorization on every iteration.
-    sparse_failures: u32,
     stats: EngineStats,
 }
 
@@ -1073,26 +755,19 @@ impl EngineStats {
     }
 }
 
-/// After this many consecutive static-pivot failures the engine stops trying
-/// the sparse path for the remainder of its lifetime.
-const SPARSE_FAILURE_LIMIT: u32 = 8;
-
 impl MnaEngine {
-    pub(crate) fn new(netlist: &Netlist, choice: crate::dc::EngineChoice) -> Self {
-        use crate::dc::EngineChoice;
+    pub(crate) fn new(netlist: &Netlist) -> Self {
         let dense = Assembler::new(netlist);
-        let sparse = match crate::dc::resolve_engine(choice) {
-            EngineChoice::Dense => None,
-            EngineChoice::Auto | EngineChoice::Sparse => {
-                Some(SparseAssembler::obtain(netlist, &dense.layout))
-            }
-        };
+        let linear = !netlist.has_nonlinear();
+        // The differential tests' oracle: every engine on the thread dense.
+        #[cfg(test)]
+        let linear = linear && !tests::DENSE_ONLY.get();
+        let sparse = linear.then(|| SparseAssembler::obtain(netlist, &dense.layout));
         let solution = vec![0.0; dense.layout.dim];
         Self {
             dense,
             sparse,
             solution,
-            sparse_failures: 0,
             stats: EngineStats::new(),
         }
     }
@@ -1108,45 +783,35 @@ impl MnaEngine {
         &self.dense.layout
     }
 
-    /// Assembles and solves one MNA system, preferring the sparse path.
+    /// Assembles and solves one MNA system on the engine's path.
     ///
     /// # Errors
     ///
-    /// Returns [`SingularMatrixError`] only when the dense fallback also
+    /// Returns [`SingularMatrixError`] only when the dense factorization
     /// finds the matrix singular (a genuinely singular iterate).
     pub(crate) fn assemble_and_solve(
         &mut self,
         netlist: &Netlist,
         ctx: &AssemblyCtx<'_>,
     ) -> Result<&[f64], SingularMatrixError> {
-        let mut solved = false;
-        if self.sparse_failures < SPARSE_FAILURE_LIMIT {
-            // Split borrows: the layout lives on the dense assembler.
-            if let Some(sparse) = self.sparse.as_mut() {
-                match sparse.assemble_and_solve(
-                    netlist,
-                    &self.dense.layout,
-                    ctx,
-                    &mut self.solution,
-                ) {
-                    Ok(refactored) => {
-                        self.sparse_failures = 0;
-                        solved = true;
-                        self.stats.sparse_solves += 1;
-                        if refactored {
-                            self.stats.refactors += 1;
-                        } else {
-                            self.stats.refactor_skips += 1;
-                        }
-                    }
-                    Err(_) => self.sparse_failures += 1,
+        // Split borrows: the layout lives on the dense assembler.
+        let sparse = self.sparse.as_mut().and_then(|sparse| {
+            sparse.assemble_and_solve(netlist, &self.dense.layout, ctx, &mut self.solution)
+        });
+        match sparse {
+            Some(refactored) => {
+                self.stats.sparse_solves += 1;
+                if refactored {
+                    self.stats.refactors += 1;
+                } else {
+                    self.stats.refactor_skips += 1;
                 }
             }
-        }
-        if !solved {
-            self.dense.assemble(netlist, ctx);
-            self.solution = self.dense.matrix.solve(&self.dense.rhs)?;
-            self.stats.dense_solves += 1;
+            None => {
+                self.dense.assemble(netlist, ctx);
+                self.solution = self.dense.matrix.solve(&self.dense.rhs)?;
+                self.stats.dense_solves += 1;
+            }
         }
         Ok(&self.solution)
     }
@@ -1205,15 +870,75 @@ pub(crate) fn nmos_eval(vgs: f64, vds: f64, vth: f64, kp: f64, lambda: f64) -> (
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::netlist::Netlist;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set by [`dense`]; read by [`MnaEngine::new`].
+        pub(super) static DENSE_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with every engine built on this thread solving dense: the
+    /// oracle side of the differential tests.
+    pub(crate) fn dense<T>(f: impl FnOnce() -> T) -> T {
+        let prev = DENSE_ONLY.replace(true);
+        let out = f();
+        DENSE_ONLY.set(prev);
+        out
+    }
+
+    /// Whether the DC solve of a linear `netlist` stays on the sparse path.
+    pub(crate) fn solves_sparse(netlist: &Netlist) -> bool {
+        let mut engine = MnaEngine::new(netlist);
+        solve_once(&mut engine, netlist);
+        engine.stats.sparse_solves == 1
+    }
+
+    /// One DC-context solve from the all-zero guess.
+    fn solve_once(engine: &mut MnaEngine, netlist: &Netlist) -> Vec<f64> {
+        let guess = vec![0.0; engine.layout().dim];
+        let caps = vec![None; netlist.device_count()];
+        let ctx = AssemblyCtx {
+            time: 0.0,
+            source_scale: 1.0,
+            gmin: crate::dc::GMIN,
+            guess: &guess,
+            cap_companion: &caps,
+            thermal: Thermal::new(T_NOMINAL_K),
+        };
+        engine.assemble_and_solve(netlist, &ctx).unwrap().to_vec()
+    }
 
     #[test]
-    #[ignore = "timing probe, run manually with --release --nocapture"]
-    fn timing_probe() {
-        use std::hint::black_box;
-        use std::time::Instant;
+    fn nonlinear_netlists_solve_dense_and_leave_the_pool_alone() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let k = nl.node("k");
+        nl.vsource(a, Netlist::GND, 2.0);
+        nl.resistor(a, k, 1e3);
+        nl.diode(k, Netlist::GND, 1e-14, 1.0);
+        // Park an assembler under this topology's key: a checkout would
+        // take it out of the pool.
+        let layout = MnaLayout::new(&nl);
+        let key = SparseAssembler::structure_key(&nl, layout.dim);
+        let parked = SparseAssembler::new(&nl, &layout);
+        ASSEMBLER_POOL.with(|p| p.borrow_mut().insert(key.clone(), parked));
+
+        let mut engine = MnaEngine::new(&nl);
+        assert!(engine.sparse.is_none());
+        solve_once(&mut engine, &nl);
+        solve_once(&mut engine, &nl);
+        let stats = &engine.stats;
+        assert_eq!((stats.sparse_solves, stats.dense_solves), (0, 2));
+        drop(engine);
+        assert!(ASSEMBLER_POOL.with(|p| p.borrow().contains_key(&key)));
+    }
+
+    #[test]
+    fn linear_netlists_solve_sparse_and_skip_identical_refactors() {
+        ASSEMBLER_POOL.with(|p| p.borrow_mut().clear());
         let mut nl = Netlist::new();
         let top = nl.node("top");
         nl.vsource(top, Netlist::GND, 1.2);
@@ -1224,66 +949,68 @@ mod tests {
             prev = n;
         }
         nl.resistor(prev, Netlist::GND, 250.0);
-        let time = |label: &str, f: &mut dyn FnMut()| {
-            let iters = 20000;
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            println!(
-                "{label:>30}: {:.0} ns",
-                start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
-            );
+
+        let mut engine = MnaEngine::new(&nl);
+        assert!(engine.sparse.is_some());
+        let first = solve_once(&mut engine, &nl);
+        let second = solve_once(&mut engine, &nl);
+        assert_eq!(first, second);
+        let s = &engine.stats;
+        assert_eq!(
+            (
+                s.sparse_solves,
+                s.dense_solves,
+                s.refactors,
+                s.refactor_skips
+            ),
+            (2, 0, 1, 1)
+        );
+    }
+
+    /// A static pivot that vanishes after the first rows of the factor were
+    /// rewritten must not leave those rows behind for a later solve of the
+    /// values factored before.
+    #[test]
+    fn failed_refactor_never_leaves_a_stale_factorization() {
+        // Elimination order c, a, b: c's row changes with `s_c`, and a's
+        // pivot vanishes once both switches open, leaving only the
+        // cross-coupled transconductances to pivot on.
+        let mut nl = Netlist::new();
+        let c = nl.node("c");
+        let a = nl.node("a");
+        let b = nl.node("b");
+        nl.isource(Netlist::GND, a, 1e-3);
+        nl.resistor(c, a, 1e3);
+        let s_c = nl.switch(c, Netlist::GND, 100.0, 1e12);
+        let s_a = nl.switch(a, Netlist::GND, 100.0, 1e12);
+        nl.vccs(a, Netlist::GND, b, Netlist::GND, 1e3);
+        nl.vccs(b, Netlist::GND, a, Netlist::GND, 1e3);
+        let close = |nl: &mut Netlist, closed: bool| {
+            nl.set_switch(s_c, closed);
+            nl.set_switch(s_a, closed);
         };
-        time("MnaLayout::new", &mut || {
-            black_box(MnaLayout::new(&nl));
-        });
-        time("Assembler::new", &mut || {
-            black_box(Assembler::new(&nl));
-        });
-        let layout = MnaLayout::new(&nl);
-        time("structure_key", &mut || {
-            black_box(SparseAssembler::structure_key(&nl, layout.dim));
-        });
-        time("obtain+release", &mut || {
-            SparseAssembler::obtain(&nl, &layout).release();
-        });
-        let caps = vec![None; nl.device_count()];
-        let guess = vec![0.0; layout.dim];
-        let ctx = AssemblyCtx {
-            time: 0.0,
-            source_scale: 1.0,
-            gmin: 1e-12,
-            guess: &guess,
-            cap_companion: &caps,
-            thermal: Thermal::new(T_NOMINAL_K),
-        };
-        let mut sp = SparseAssembler::obtain(&nl, &layout);
-        let mut x = vec![0.0; layout.dim];
-        time("sparse assemble_and_solve", &mut || {
-            sp.assemble_and_solve(&nl, &layout, &ctx, &mut x).unwrap();
-            black_box(&x);
-        });
-        let mut engine = MnaEngine::new(&nl, crate::dc::EngineChoice::Sparse);
-        time("engine assemble_and_solve", &mut || {
-            black_box(engine.assemble_and_solve(&nl, &ctx).unwrap());
-        });
-        time("MnaEngine::new sparse", &mut || {
-            black_box(MnaEngine::new(&nl, crate::dc::EngineChoice::Sparse));
-        });
-        time("MnaEngine::new dense", &mut || {
-            black_box(MnaEngine::new(&nl, crate::dc::EngineChoice::Dense));
-        });
-        time("full DcSolver sparse", &mut || {
-            black_box(
-                crate::dc::DcSolver::with_options(crate::dc::DcOptions {
-                    engine: crate::dc::EngineChoice::Sparse,
-                    ..Default::default()
-                })
-                .solve(&nl)
-                .unwrap(),
-            );
-        });
+
+        close(&mut nl, true);
+        let mut engine = MnaEngine::new(&nl);
+        let closed = solve_once(&mut engine, &nl);
+        close(&mut nl, false);
+        let open = solve_once(&mut engine, &nl);
+        close(&mut nl, true);
+        let again = solve_once(&mut engine, &nl);
+
+        let s = &engine.stats;
+        assert_eq!(
+            (
+                s.sparse_solves,
+                s.dense_solves,
+                s.refactors,
+                s.refactor_skips
+            ),
+            (2, 1, 2, 0)
+        );
+        assert_eq!(closed, again);
+        close(&mut nl, false);
+        assert_eq!(open, dense(|| solve_once(&mut MnaEngine::new(&nl), &nl)));
     }
 
     fn assemble_linear(netlist: &Netlist) -> (Matrix, Vec<f64>) {

@@ -318,7 +318,7 @@ impl Device {
 ///
 /// This is the single source of truth for "sane device parameters": the
 /// [`Netlist`] builder methods consult it in debug builds (via
-/// [`Netlist::push`]'s debug assertion) and the `symbist-lint`
+/// `Netlist::push`'s debug assertion) and the `symbist-lint`
 /// parameter-sanity rule applies it to finished netlists, so a value the
 /// linter would flag can never slip through a builder unnoticed in tests.
 pub fn device_param_issue(device: &Device) -> Option<String> {

@@ -82,9 +82,9 @@ pub struct ParsedNetlist {
 /// Parses an engineering-notation value (`10k`, `1.5meg`, `2p`, `0.5`).
 ///
 /// Only finite numeric literals are values: `nan`, `inf`, overflowing
-/// exponents (`1e999`), and bare suffixes with no mantissa (`k`) are all
-/// errors — netlists arrive over the wire, and a NaN that parses here
-/// would only blow up deep inside a solver.
+/// exponents (`1e999`) or suffixes (`1e308meg`), and bare suffixes with no
+/// mantissa (`k`) are all errors — netlists arrive over the wire, and a NaN
+/// that parses here would only blow up deep inside a solver.
 ///
 /// # Errors
 ///
@@ -108,7 +108,11 @@ pub fn parse_value(token: &str) -> Result<f64, String> {
             // Guard against stripping the exponent of "1e-3" ("g"/"t" can't
             // collide, but a bare "1e" + "g" could; require a parseable stem).
             if let Some(v) = parse_plain(num) {
-                return Ok(v * mult);
+                let scaled = v * mult;
+                if !scaled.is_finite() {
+                    return Err(format!("value '{token}' overflows"));
+                }
+                return Ok(scaled);
             }
         }
     }
@@ -645,6 +649,7 @@ mod tests {
     fn non_finite_and_mantissaless_values_are_rejected() {
         for bad in [
             "nan", "NaN", "inf", "-inf", "infinity", "1e999", "k", "meg", "nank", "infp",
+            "1e308meg", "-1e307k", "1.7e308t",
         ] {
             assert!(parse_value(bad).is_err(), "{bad:?} parsed");
         }

@@ -1,10 +1,10 @@
 //! Sparse linear algebra for MNA systems with symbolic-factorization reuse.
 //!
-//! MNA matrices of the circuits in this reproduction (resistor ladders,
-//! switched-capacitor arrays, bandgap cores) are >95 % structurally sparse
-//! and their sparsity pattern is fixed per topology: it never changes across
-//! Newton iterations, transient steps, Monte-Carlo samples, or injected
-//! parametric defects. This module exploits that with a KLU-style split:
+//! MNA matrices of the linear circuits in this reproduction (reference
+//! ladders, dividers) are >95 % structurally sparse and their sparsity
+//! pattern is fixed per topology: it never changes across solves,
+//! transient steps, Monte-Carlo samples, or injected parametric defects.
+//! This module exploits that with a KLU-style split:
 //!
 //! 1. [`Symbolic::analyze`] — run **once per topology**: a fill-reducing
 //!    minimum-degree ordering of the symmetrized structure followed by a
@@ -14,12 +14,11 @@
 //!    costs `O(flops on the static pattern)` instead of the dense `O(n³)`.
 //! 3. [`Numeric::solve`] — forward/back substitution on the sparse factors.
 //!
-//! The factorization uses static (diagonal) pivoting. MNA diagonals are
-//! guaranteed nonzero for node rows by `gmin` and for branch rows by the
-//! fill produced when their incident node is eliminated first; should a
-//! pivot still collapse numerically, [`Numeric::refactor`] reports it and
-//! the caller falls back to the dense partially-pivoted path in
-//! [`crate::matrix`].
+//! The factorization uses static (diagonal) pivoting. Node rows carry
+//! `gmin` on the diagonal, and a branch row's diagonal fills in when an
+//! incident node is eliminated before it; when a pivot still vanishes,
+//! [`Numeric::refactor`] reports it and the caller retries on the dense
+//! partially-pivoted path in [`crate::matrix`].
 //!
 //! # Examples
 //!
@@ -41,96 +40,6 @@
 //! ```
 
 use crate::matrix::SingularMatrixError;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
-
-/// FNV-1a-style hasher with a word-at-a-time fast path: the cache keys are
-/// long integer vectors and the default SipHash costs more than the lookup
-/// saves. Not DoS-resistant — fine for keys derived from our own netlists.
-#[derive(Default)]
-pub(crate) struct FnvHasher(u64);
-
-impl FnvHasher {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        let h = if self.0 == 0 { Self::SEED } else { self.0 };
-        self.0 = (h ^ v).wrapping_mul(Self::PRIME);
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Word-at-a-time: std hashes integer-slice keys as one big byte
-        // write, and a per-byte loop over a kilobyte-sized key would cost
-        // more than the cached analysis it guards.
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            self.mix(u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type SymbolicCache = HashMap<(usize, Vec<(u32, u32)>), Rc<Symbolic>, BuildHasherDefault<FnvHasher>>;
-
-thread_local! {
-    static SYMBOLIC_CACHE: RefCell<SymbolicCache> = RefCell::new(HashMap::default());
-}
-
-/// Entry cap on the per-thread symbolic cache. Topology count is small in
-/// practice (one per netlist structure — defect campaigns are the worst
-/// case at a few hundred); on overflow the cache is simply cleared.
-const SYMBOLIC_CACHE_CAP: usize = 512;
-
-/// [`Symbolic::analyze`] with a per-thread, per-topology cache.
-///
-/// The structure key is the raw entry list (order preserved — assembly is
-/// deterministic per topology, so identical structures produce identical
-/// lists), which makes repeated solves of the same topology — Newton
-/// restarts, Monte-Carlo samples, per-tap-code reference-ladder solves,
-/// defect-campaign reruns — skip the ordering/fill analysis entirely.
-pub fn analyze_cached(n: usize, entries: &[(usize, usize)]) -> Rc<Symbolic> {
-    let key: Vec<(u32, u32)> = entries.iter().map(|&(r, c)| (r as u32, c as u32)).collect();
-    SYMBOLIC_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() >= SYMBOLIC_CACHE_CAP {
-            cache.clear();
-        }
-        cache
-            .entry((n, key))
-            .or_insert_with(|| Rc::new(Symbolic::analyze(n, entries)))
-            .clone()
-    })
-}
 
 /// One-time symbolic analysis of a sparse square matrix: fill-reducing
 /// ordering plus the static fill-in pattern of `L + U`.
@@ -560,19 +469,6 @@ mod tests {
         assert!(sym.slot(0, 0).is_some());
         assert!(sym.slot(0, 2).is_none());
         assert!(sym.slot(5, 0).is_none());
-    }
-
-    #[test]
-    fn analyze_cached_returns_shared_analysis() {
-        let entries = [(0usize, 0usize), (0, 1), (1, 0), (1, 1)];
-        let a = analyze_cached(2, &entries);
-        let b = analyze_cached(2, &entries);
-        assert!(Rc::ptr_eq(&a, &b), "same structure must hit the cache");
-        // A different structure gets its own analysis.
-        let c = analyze_cached(2, &[(0, 0), (1, 1)]);
-        assert!(!Rc::ptr_eq(&a, &c));
-        assert_eq!(a.nnz(), 4);
-        assert_eq!(c.nnz(), 2);
     }
 
     #[test]

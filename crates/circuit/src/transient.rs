@@ -30,7 +30,7 @@
 //! # Ok::<(), symbist_circuit::error::CircuitError>(())
 //! ```
 
-use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating};
+use crate::dc::{charge_newton_iteration, DcSolver, Operating, GMIN, MAX_ITER};
 use crate::error::CircuitError;
 use crate::mna::{Assembler, AssemblyCtx, CapCompanion, MnaEngine, Thermal, T_NOMINAL_K};
 use crate::netlist::{Device, DeviceId, Netlist, NodeId};
@@ -57,8 +57,6 @@ pub struct TransientOptions {
     /// When `true`, capacitors with an `ic` start from it instead of the DC
     /// operating point.
     pub use_ic: bool,
-    /// Newton options for the per-step solves.
-    pub dc: DcOptions,
 }
 
 impl Default for TransientOptions {
@@ -67,7 +65,6 @@ impl Default for TransientOptions {
             dt: 1e-10,
             integrator: Integrator::default(),
             use_ic: false,
-            dc: DcOptions::default(),
         }
     }
 }
@@ -130,9 +127,9 @@ impl TransientSim {
                 reason: format!("time step must be > 0, got {}", options.dt),
             });
         }
-        let solver = DcSolver::with_options(options.dc.clone());
+        let solver = DcSolver::new();
         let op = solver.solve(netlist)?;
-        let asm = MnaEngine::new(netlist, options.dc.engine);
+        let asm = MnaEngine::new(netlist);
         let mut cap_state = vec![None; netlist.device_count()];
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { a, b, ic, .. } = dev {
@@ -284,7 +281,7 @@ impl TransientSim {
                 &mut self.x,
                 t_next,
                 1.0,
-                self.solver.options().gmin,
+                GMIN,
                 &companions,
             );
             self.companions = companions;
@@ -293,7 +290,7 @@ impl TransientSim {
         if !converged {
             return Err(CircuitError::NoConvergence {
                 analysis: "transient step",
-                iterations: self.solver.options().max_iter,
+                iterations: MAX_ITER,
             });
         }
 
@@ -478,7 +475,7 @@ fn nonlinear_device(id: DeviceId) -> CircuitError {
 fn step_failed() -> CircuitError {
     CircuitError::NoConvergence {
         analysis: "transient step",
-        iterations: DcOptions::default().max_iter,
+        iterations: MAX_ITER,
     }
 }
 
@@ -651,7 +648,7 @@ impl LinearTransient {
         let ctx = AssemblyCtx {
             time: t_next,
             source_scale: 0.0,
-            gmin: DcOptions::default().gmin,
+            gmin: GMIN,
             guess: &[],
             cap_companion: &companions,
             // Only diodes and MOSFETs depend on temperature.
@@ -764,7 +761,6 @@ mod tests {
                     dt: 2e-8,
                     integrator,
                     use_ic: true,
-                    ..Default::default()
                 },
             )
             .unwrap();
@@ -825,6 +821,35 @@ mod tests {
             sim.step(&nl).unwrap();
         }
         assert!(sim.voltage(o).abs() < 1e-3, "v = {}", sim.voltage(o));
+    }
+
+    /// The engine picks its path from the netlist it was built for; a
+    /// device swapped for a diode between steps must still be stamped.
+    #[test]
+    fn device_turned_nonlinear_mid_run_is_stamped() {
+        let mut nl = Netlist::new();
+        let s = nl.node("s");
+        let o = nl.node("o");
+        nl.vsource(s, Netlist::GND, 1.0);
+        nl.resistor(s, o, 1e3);
+        let load = nl.resistor(o, Netlist::GND, 1e9);
+        nl.capacitor(o, Netlist::GND, 1e-12);
+        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
+        *nl.device_mut(load) = Device::Diode {
+            anode: o,
+            cathode: Netlist::GND,
+            i_sat: 1e-14,
+            ideality: 1.0,
+        };
+        for _ in 0..100 {
+            sim.step(&nl).unwrap();
+        }
+        // The diode clamps what the 1 GΩ load left at the source level.
+        assert!(
+            (0.5..0.7).contains(&sim.voltage(o)),
+            "v = {}",
+            sim.voltage(o)
+        );
     }
 
     #[test]

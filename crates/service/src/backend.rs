@@ -1,5 +1,5 @@
-//! Campaign backends: how a [`JobSpec`](crate::spec::JobSpec) turns into
-//! an actual defect campaign.
+//! Campaign backends: how a [`JobSpec`] turns into an actual defect
+//! campaign.
 //!
 //! The service core (registry, workers, HTTP front-end) is backend
 //! agnostic. The production backend is [`AdcBackend`] — the paper's SAR
@@ -237,7 +237,7 @@ impl CampaignBackend for AdcBackend {
 }
 
 /// A barrier tests hold to freeze a synthetic campaign mid-defect: while
-/// held, every in-flight defect simulation blocks in [`Gate::pass`] until
+/// held, every in-flight defect simulation blocks in `Gate::pass` until
 /// [`Gate::release`]. Lets tests deterministically observe a `running`
 /// job with a known record count.
 #[derive(Debug, Default)]
@@ -252,7 +252,7 @@ impl Gate {
         Arc::new(Gate::default())
     }
 
-    /// Closes the gate: subsequent [`pass`](Self::pass) calls block.
+    /// Closes the gate: subsequent `pass` calls block.
     pub fn hold(&self) {
         *self.held.lock().unwrap_or_else(|e| e.into_inner()) = true;
     }

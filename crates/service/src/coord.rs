@@ -26,8 +26,7 @@
 //!   3-shard chaos run is bit-identical to the uninterrupted oracle (see
 //!   `tests/coord_chaos.rs`, the CI chaos gate).
 //!
-//! The merged artifact (`merged.jsonl`) uses
-//! [`merged_line`](symbist_defects::checkpoint::merged_line) — the
+//! The merged artifact (`merged.jsonl`) uses [`merged_line`] — the
 //! checkpoint projection without the run-dependent `wall_ns` field — so
 //! "bit-identical" is a byte comparison, not a field-by-field argument.
 //!
