@@ -2,7 +2,7 @@
 //! conversion engine, and the SymBIST observation taps.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::Netlist;
@@ -77,7 +77,9 @@ pub struct SarAdc {
     vcm: VcmGenerator,
     control: SarControl,
     phase: PhaseGenerator,
-    catalog: Vec<ComponentInfo>,
+    /// The component catalog of every block, built once by [`SarAdc::new`]
+    /// and shared by all clones: a campaign clones the DUT per defect.
+    catalog: Arc<[ComponentInfo]>,
     /// Global component index ranges per sub-block, in catalog order.
     ranges: Vec<(SubBlock, std::ops::Range<usize>)>,
     injected: Option<DefectSite>,
@@ -174,7 +176,7 @@ impl Clone for SarAdc {
             vcm: self.vcm.clone(),
             control: self.control,
             phase: self.phase,
-            catalog: self.catalog.clone(),
+            catalog: Arc::clone(&self.catalog),
             ranges: self.ranges.clone(),
             injected: self.injected,
             ref_cache: Mutex::new(
@@ -209,46 +211,19 @@ impl SarAdc {
 
         let mut catalog = Vec::new();
         let mut ranges = Vec::new();
-        let add = |sb: SubBlock,
-                   comps: &[ComponentInfo],
-                   catalog: &mut Vec<ComponentInfo>,
-                   ranges: &mut Vec<(SubBlock, std::ops::Range<usize>)>| {
+        for (sb, comps) in [
+            (SubBlock::Bandgap, bandgap.catalog()),
+            (SubBlock::RefBuf, refbuf.catalog()),
+            (SubBlock::SubDac1, sd1.catalog()),
+            (SubBlock::SubDac2, sd2.catalog()),
+            (SubBlock::Sc, sc.catalog()),
+            (SubBlock::Vcm, vcm.catalog()),
+            (SubBlock::Chain, chain.catalog()),
+        ] {
             let start = catalog.len();
-            catalog.extend_from_slice(comps);
+            catalog.extend(comps);
             ranges.push((sb, start..catalog.len()));
-        };
-        add(
-            SubBlock::Bandgap,
-            bandgap.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::RefBuf,
-            refbuf.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::SubDac1,
-            sd1.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::SubDac2,
-            sd2.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(SubBlock::Sc, sc.components(), &mut catalog, &mut ranges);
-        add(SubBlock::Vcm, vcm.components(), &mut catalog, &mut ranges);
-        add(
-            SubBlock::Chain,
-            chain.components(),
-            &mut catalog,
-            &mut ranges,
-        );
+        }
 
         Self {
             cfg,
@@ -261,7 +236,7 @@ impl SarAdc {
             vcm,
             control: SarControl::new(),
             phase: PhaseGenerator::new(),
-            catalog,
+            catalog: catalog.into(),
             ranges,
             injected: None,
             ref_cache: Mutex::new(HashMap::new()),
@@ -645,6 +620,20 @@ mod tests {
             "catalog size {}",
             a.components().len()
         );
+    }
+
+    #[test]
+    fn clones_share_one_catalog() {
+        let base = adc();
+        let mut clone = base.clone();
+        assert!(std::ptr::eq(base.components(), clone.components()));
+        clone.inject(DefectSite {
+            component: 0,
+            kind: DefectKind::Short,
+        });
+        assert!(std::ptr::eq(base.components(), clone.components()));
+        assert_eq!(base.injected(), None);
+        assert!(clone.injected().is_some());
     }
 
     #[test]

@@ -69,7 +69,6 @@ enum AmpFault {
 #[derive(Debug, Clone)]
 pub struct Bandgap {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: BandgapMismatch,
 }
@@ -92,6 +91,15 @@ pub(crate) const BANDGAP_COMPONENTS: usize = 16;
 impl Bandgap {
     /// Creates a defect-free, nominal bandgap.
     pub fn new(cfg: &AdcConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: BandgapMismatch::default(),
+        }
+    }
+
+    /// Builds the local component catalog.
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
         let mut components = Vec::with_capacity(BANDGAP_COMPONENTS);
         let mut push = |name: &str, kind: ComponentKind, area: f64| {
             components.push(ComponentInfo {
@@ -119,17 +127,7 @@ impl Bandgap {
         // so its (benign) open carries a large likelihood — one of the
         // high-likelihood escapes that depress L-W coverage figures.
         push("c_dec", ComponentKind::Capacitor, 25.0);
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: BandgapMismatch::default(),
-        }
-    }
-
-    /// The local component catalog.
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     /// Sets (or clears) the injected defect by local component index.
@@ -492,12 +490,11 @@ mod tests {
 
     #[test]
     fn component_catalog_complete() {
-        let b = bg();
-        assert_eq!(b.components().len(), BANDGAP_COMPONENTS);
-        assert!(b.components().iter().all(|c| c.block == BlockKind::Bandgap));
+        let catalog = bg().catalog();
+        assert_eq!(catalog.len(), BANDGAP_COMPONENTS);
+        assert!(catalog.iter().all(|c| c.block == BlockKind::Bandgap));
         // 3 diodes, 2 resistors, 10 transistors.
-        let n_diodes = b
-            .components()
+        let n_diodes = catalog
             .iter()
             .filter(|c| c.kind == ComponentKind::Diode)
             .count();

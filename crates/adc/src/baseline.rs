@@ -37,7 +37,7 @@ impl BandgapIp {
             .solve()
             .expect("nominal bandgap solves without a budget")
             .vbg;
-        let catalog = inner.components().to_vec();
+        let catalog = inner.catalog();
         Self {
             inner,
             catalog,

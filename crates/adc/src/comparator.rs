@@ -120,7 +120,6 @@ enum RsFault {
 #[derive(Debug, Clone)]
 pub struct ComparatorChain {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: ComparatorMismatch,
     /// Nominal bandgap voltage; preamp bias (gain, Vcm2) tracks VBG.
@@ -140,6 +139,16 @@ impl ComparatorChain {
     /// Creates the chain.
     pub fn new(cfg: &AdcConfig, vbg_nominal: f64) -> Self {
         assert!(vbg_nominal > 0.1, "nominal bandgap voltage implausible");
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: ComparatorMismatch::default(),
+            vbg_nominal,
+        }
+    }
+
+    /// Builds the local component catalog (preamp, latch, RS, offset comp).
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
         let mut components = Vec::with_capacity(COMPARATOR_COMPONENTS);
         for i in 1..=PREAMP_TRANSISTORS {
             components.push(ComponentInfo {
@@ -181,18 +190,7 @@ impl ComparatorChain {
                 area: 15.0,
             });
         }
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: ComparatorMismatch::default(),
-            vbg_nominal,
-        }
-    }
-
-    /// The local component catalog (preamp, latch, RS, offset comp).
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -654,9 +652,9 @@ mod tests {
 
     #[test]
     fn catalog_counts() {
-        let c = chain();
-        assert_eq!(c.components().len(), COMPARATOR_COMPONENTS);
-        let count = |b: BlockKind| c.components().iter().filter(|x| x.block == b).count();
+        let catalog = chain().catalog();
+        assert_eq!(catalog.len(), COMPARATOR_COMPONENTS);
+        let count = |b: BlockKind| catalog.iter().filter(|x| x.block == b).count();
         assert_eq!(count(BlockKind::Preamplifier), 5);
         assert_eq!(count(BlockKind::ComparatorLatch), 7);
         assert_eq!(count(BlockKind::RsLatch), 8);

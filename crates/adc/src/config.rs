@@ -1,7 +1,5 @@
 //! Electrical configuration of the SAR ADC IP model.
 
-use symbist_circuit::units::{Capacitance, Frequency, Resistance, Voltage};
-
 /// Electrical parameters of the modeled 65 nm 10-bit SAR ADC IP.
 ///
 /// Defaults follow the paper where it is explicit (10 bits, 156 MHz clock,
@@ -95,27 +93,6 @@ impl AdcConfig {
     /// Duration of one full conversion (12 pulses at `fclk`).
     pub fn conversion_time(&self) -> f64 {
         self.pulses_per_conversion as f64 / self.fclk
-    }
-
-    /// Typed accessors for the main quantities (convenience for examples).
-    pub fn vdd_v(&self) -> Voltage {
-        Voltage(self.vdd)
-    }
-    /// Full-scale reference as a typed voltage.
-    pub fn vref_fs_v(&self) -> Voltage {
-        Voltage(self.vref_fs)
-    }
-    /// Clock as a typed frequency.
-    pub fn fclk_hz(&self) -> Frequency {
-        Frequency(self.fclk)
-    }
-    /// Unit capacitor as a typed capacitance.
-    pub fn unit_cap_f(&self) -> Capacitance {
-        Capacitance(self.unit_cap)
-    }
-    /// Switch on-resistance as a typed resistance.
-    pub fn switch_ron_ohm(&self) -> Resistance {
-        Resistance(self.switch_ron)
     }
 
     /// Validates the configuration, panicking with a clear message if a

@@ -73,7 +73,6 @@ enum BufFault {
 #[derive(Debug, Clone)]
 pub struct ReferenceBuffer {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: RefBufMismatch,
     /// Nominal bandgap voltage, captured at construction so the buffer gain
@@ -83,6 +82,18 @@ pub struct ReferenceBuffer {
 
 impl ReferenceBuffer {
     /// Creates the block. `vbg_nominal` is the defect-free bandgap output.
+    pub fn new(cfg: &AdcConfig, vbg_nominal: f64) -> Self {
+        assert!(vbg_nominal > 0.1, "nominal bandgap voltage implausible");
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: RefBufMismatch::default(),
+            vbg_nominal,
+        }
+    }
+
+    /// Builds the local component catalog: 8 amp transistors, the output
+    /// decoupling cap, then the 32 ladder resistors.
     ///
     /// Note the Table-I accounting: the resistor string is the *resistive
     /// part of the DAC* (Fig. 4: "resistive plus charge redistribution
@@ -91,8 +102,7 @@ impl ReferenceBuffer {
     /// hierarchy, where the Reference Buffer row counts only the buffer
     /// amplifier (and shows ~1 % coverage precisely because amplifier
     /// faults rescale every tap coherently).
-    pub fn new(cfg: &AdcConfig, vbg_nominal: f64) -> Self {
-        assert!(vbg_nominal > 0.1, "nominal bandgap voltage implausible");
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
         let mut components = Vec::with_capacity(BUFFER_TRANSISTORS + 1 + LADDER_RESISTORS);
         for i in 1..=BUFFER_TRANSISTORS {
             components.push(ComponentInfo {
@@ -117,18 +127,7 @@ impl ReferenceBuffer {
                 area: 2.0,
             });
         }
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: RefBufMismatch::default(),
-            vbg_nominal,
-        }
-    }
-
-    /// The local component catalog (8 amp transistors then 32 ladder Rs).
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -249,7 +248,6 @@ enum TapState {
 #[derive(Debug, Clone)]
 pub struct SubDac {
     block: BlockKind,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
 }
 
@@ -271,6 +269,20 @@ impl SubDac {
             matches!(block, BlockKind::SubDac1 | BlockKind::SubDac2),
             "not a sub-DAC block: {block:?}"
         );
+        Self {
+            block,
+            defect: None,
+        }
+    }
+
+    /// The block identity (SubDac1 or SubDac2).
+    pub fn block(&self) -> BlockKind {
+        self.block
+    }
+
+    /// Builds the local component catalog.
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
+        let block = self.block;
         let prefix = match block {
             BlockKind::SubDac1 => "subdac1",
             _ => "subdac2",
@@ -300,21 +312,7 @@ impl SubDac {
                 }
             }
         }
-        Self {
-            block,
-            components,
-            defect: None,
-        }
-    }
-
-    /// The block identity (SubDac1 or SubDac2).
-    pub fn block(&self) -> BlockKind {
-        self.block
-    }
-
-    /// The local component catalog.
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -797,10 +795,10 @@ mod tests {
     fn component_counts() {
         let (rb, s1, _) = parts();
         assert_eq!(
-            rb.components().len(),
+            rb.catalog().len(),
             BUFFER_TRANSISTORS + 1 + LADDER_RESISTORS
         );
-        assert_eq!(s1.components().len(), SUBDAC_COMPONENTS);
+        assert_eq!(s1.catalog().len(), SUBDAC_COMPONENTS);
         assert_eq!(SUBDAC_COMPONENTS, 284);
     }
 

@@ -93,7 +93,6 @@ pub struct SideLevels {
 #[derive(Debug, Clone)]
 pub struct ScArray {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: ScMismatch,
 }
@@ -120,10 +119,8 @@ enum SwBehavior {
 struct SideCircuit {
     nl: Netlist,
     top: NodeId,
-    src_in: DeviceId,
     src_m: DeviceId,
     src_l: DeviceId,
-    src_vcm: DeviceId,
     sw_sample_main: Option<DeviceId>,
     sw_conv_main: Option<DeviceId>,
     sw_sample_interp: Option<DeviceId>,
@@ -158,6 +155,15 @@ impl SideCircuit {
 impl ScArray {
     /// Creates a defect-free SC array.
     pub fn new(cfg: &AdcConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: ScMismatch::default(),
+        }
+    }
+
+    /// Builds the local component catalog (P side then N side).
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
         let mut components = Vec::with_capacity(SC_COMPONENTS);
         for side in ["p", "n"] {
             for role in ROLES {
@@ -178,17 +184,7 @@ impl ScArray {
                 });
             }
         }
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: ScMismatch::default(),
-        }
-    }
-
-    /// The local component catalog (P side then N side).
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -281,10 +277,10 @@ impl ScArray {
         let n_l = nl.node("l");
         let n_vcm = nl.node("vcm");
 
-        let src_in = nl.vsource(n_in, Netlist::GND, vin);
+        nl.vsource(n_in, Netlist::GND, vin);
         let src_m = nl.vsource(n_m, Netlist::GND, 0.0);
         let src_l = nl.vsource(n_l, Netlist::GND, 0.0);
-        let src_vcm = nl.vsource(n_vcm, Netlist::GND, vcm);
+        nl.vsource(n_vcm, Netlist::GND, vcm);
 
         // Capacitors (with defects).
         let c_main = 32.0 * cfg.unit_cap * (1.0 + cm_err);
@@ -320,10 +316,8 @@ impl ScArray {
         SideCircuit {
             nl,
             top,
-            src_in,
             src_m,
             src_l,
-            src_vcm,
             sw_sample_main,
             sw_conv_main,
             sw_sample_interp,
@@ -525,22 +519,6 @@ impl ScSession {
     /// Ends the session and returns the accumulated traces.
     pub fn finish(self) -> ScTraces {
         self.traces
-    }
-
-    /// Changes the FD input mid-run (used by dynamic-stimulus extensions;
-    /// the sampled charge only reflects it at the next sampling phase).
-    pub fn set_inputs(&mut self, in_p: f64, in_n: f64) {
-        let values = [in_p, in_n];
-        for (circuit, v) in self.circuits.iter_mut().zip(values) {
-            circuit.set_source(circuit.src_in, v);
-        }
-    }
-
-    /// Changes the common-mode source mid-run.
-    pub fn set_vcm(&mut self, vcm: f64) {
-        for circuit in self.circuits.iter_mut() {
-            circuit.set_source(circuit.src_vcm, vcm);
-        }
     }
 }
 
@@ -816,7 +794,7 @@ mod tests {
             cl_n: 0.005,
         });
         arrays.push(("mismatch".to_string(), mismatched));
-        for (idx, info) in nominal.components().iter().enumerate() {
+        for (idx, info) in nominal.catalog().iter().enumerate() {
             for &kind in info.kind.applicable_defects() {
                 let mut sc = nominal.clone();
                 sc.set_defect(Some((idx, kind)));
@@ -860,7 +838,7 @@ mod tests {
     #[test]
     fn catalog() {
         let sc = ScArray::new(&cfg());
-        assert_eq!(sc.components().len(), SC_COMPONENTS);
+        assert_eq!(sc.catalog().len(), SC_COMPONENTS);
         assert_eq!(SC_COMPONENTS, 14);
     }
 }

@@ -56,7 +56,6 @@ pub(crate) const VCM_COMPONENTS: usize = 6;
 #[derive(Debug, Clone)]
 pub struct VcmGenerator {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: VcmMismatch,
 }
@@ -64,6 +63,15 @@ pub struct VcmGenerator {
 impl VcmGenerator {
     /// Creates the block.
     pub fn new(cfg: &AdcConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: VcmMismatch::default(),
+        }
+    }
+
+    /// Builds the local component catalog.
+    pub(crate) fn catalog(&self) -> Vec<ComponentInfo> {
         let mk = |name: &str, kind, area| ComponentInfo {
             block: BlockKind::VcmGenerator,
             name: format!("vcmgen/{name}"),
@@ -84,17 +92,7 @@ impl VcmGenerator {
             mk("r_esr", ComponentKind::Resistor, 20.0),
         ];
         debug_assert_eq!(components.len(), VCM_COMPONENTS);
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: VcmMismatch::default(),
-        }
-    }
-
-    /// The local component catalog.
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -294,7 +292,7 @@ mod tests {
 
     #[test]
     fn catalog() {
-        assert_eq!(gen().components().len(), VCM_COMPONENTS);
+        assert_eq!(gen().catalog().len(), VCM_COMPONENTS);
     }
 }
 

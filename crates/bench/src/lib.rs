@@ -1,35 +1,26 @@
-//! # symbist-bench — benchmark harness and experiment regeneration
+//! # symbist-bench — experiment regeneration
 //!
-//! Two kinds of targets:
+//! The binaries in `src/bin/` regenerate every table and figure of the
+//! paper — run them with
+//! `cargo run --release -p symbist-bench --bin <name>`:
 //!
-//! * **Experiment binaries** (`src/bin/`): regenerate every table and
-//!   figure of the paper — run them with
-//!   `cargo run --release -p symbist-bench --bin <name>`:
+//! | binary | paper artefact |
+//! |---|---|
+//! | `table1` | Table I (per-block L-W defect coverage) |
+//! | `fig5` | Fig. 5 (invariance-I3 waveform, 4 cases + window) |
+//! | `testtime` | §IV-5 (1.23 µs, 16× one conversion) |
+//! | `area` | §IV-4 (< 5 % overhead) |
+//! | `yield_sweep` | §VI (k = 5 yield-loss justification; extension) |
+//! | `baselines` | §VI comparison IPs (bandgap 74 %, POR 51 % in \[9\]) |
+//! | `escapes` | §VI follow-up: spec-violating escapes (extension) |
 //!
-//!   | binary | paper artefact |
-//!   |---|---|
-//!   | `table1` | Table I (per-block L-W defect coverage) |
-//!   | `fig5` | Fig. 5 (invariance-I3 waveform, 4 cases + window) |
-//!   | `testtime` | §IV-5 (1.23 µs, 16× one conversion) |
-//!   | `area` | §IV-4 (< 5 % overhead) |
-//!   | `yield_sweep` | §VI (k = 5 yield-loss justification; extension) |
-//!   | `baselines` | §VI comparison IPs (bandgap 74 %, POR 51 % in \[9\]) |
-//!   | `escapes` | §VI follow-up: spec-violating escapes (extension) |
-//!
-//! * **Benches** (`benches/`, plain `harness = false` programs on the
-//!   in-repo [`harness`]): micro/meso performance of the simulation
-//!   substrate (`engine`) and throughput of the experiment pipeline
-//!   stages (`experiments`) — run with `cargo bench`. The `bench_engine`
-//!   binary runs the same [`engine_suite`] plus the [`service_suite`]
-//!   (job-service throughput and backpressure latency) and writes the
-//!   results to `BENCH_engine.json` for machine consumption.
+//! One more binary is a CI gate, not an artefact: `obs_overhead` times the
+//! shipping observation sweep with the observability layer on and off and
+//! fails when it costs more than 3 %. End-to-end performance is measured
+//! by the separate `perfbench/` package.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod engine_suite;
-pub mod harness;
-pub mod service_suite;
 
 use symbist::experiments::ExperimentConfig;
 

@@ -99,7 +99,6 @@ fn sc_array_step_transient() {
             TransientOptions {
                 dt: 1e-10,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();

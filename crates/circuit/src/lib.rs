@@ -22,9 +22,9 @@
 //!   netlists, the retry when a sparse static pivot vanishes, and the
 //!   cross-check oracle in tests.
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
-//! * [`transient`] — backward-Euler / trapezoidal integration; the netlist
-//!   is borrowed per step so digital controllers can flip switches, which is
-//!   how the SAR conversion loop drives the analog core.
+//! * [`transient`] — backward-Euler integration; the netlist is borrowed
+//!   per step so digital controllers can flip switches, which is how the
+//!   SAR conversion loop drives the analog core.
 //! * [`mc`] — process-variation engine used to calibrate SymBIST's
 //!   `δ = k·σ` comparison windows.
 //! * [`rng`] — deterministic xoshiro256++; all experiments are reproducible
@@ -70,7 +70,6 @@ pub mod rng;
 pub mod sparse;
 pub mod topology;
 pub mod transient;
-pub mod units;
 pub mod waveform;
 
 pub use dc::{set_thread_solve_budget, DcOptions, DcSolver, Operating, SolveBudget};
@@ -78,5 +77,5 @@ pub use error::CircuitError;
 pub use netlist::{device_param_issue, Device, DeviceId, MosPolarity, Netlist, NodeId, SourceWave};
 pub use rng::Rng;
 pub use topology::{DisjointSet, Topology};
-pub use transient::{Integrator, LinearTransient, TransientOptions, TransientSim};
+pub use transient::{LinearTransient, TransientOptions, TransientSim};
 pub use waveform::{Trace, TraceSet};

@@ -126,7 +126,7 @@ impl MnaLayout {
 /// Companion-model state for one capacitor during transient analysis.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CapCompanion {
-    /// Equivalent conductance (C/h for BE, 2C/h for trapezoidal).
+    /// Equivalent conductance `C/h` (backward Euler).
     pub g: f64,
     /// Equivalent current source injected a → b.
     pub ieq: f64,

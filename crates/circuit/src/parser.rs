@@ -541,7 +541,6 @@ mod tests {
             TransientOptions {
                 dt: step,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();

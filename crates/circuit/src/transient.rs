@@ -1,11 +1,11 @@
 //! Transient analysis with switch-event co-simulation.
 //!
-//! Capacitors are replaced by their companion models (backward Euler or
-//! trapezoidal) and the resulting resistive circuit is solved per time step
-//! with the same Newton engine as the DC analysis. The simulation object
-//! borrows the netlist per step, so a digital controller can flip switches
-//! or retarget sources between steps — this is how the SAR conversion loop
-//! and the SymBIST stimulus drive the analog core.
+//! Capacitors are replaced by their backward-Euler companion models and
+//! the resulting resistive circuit is solved per time step with the same
+//! Newton engine as the DC analysis. The simulation object borrows the
+//! netlist per step, so a digital controller can flip switches or retarget
+//! sources between steps — this is how the SAR conversion loop and the
+//! SymBIST stimulus drive the analog core.
 //!
 //! # Examples
 //!
@@ -20,7 +20,7 @@
 //! nl.vsource(src, Netlist::GND, 1.0);
 //! nl.resistor(src, out, 1e3);
 //! nl.capacitor_with_ic(out, Netlist::GND, 1e-9, 0.0);
-//! let opts = TransientOptions { dt: 1e-8, use_ic: true, ..Default::default() };
+//! let opts = TransientOptions { dt: 1e-8, use_ic: true };
 //! let mut sim = TransientSim::new(&nl, opts)?;
 //! while sim.time() < 1e-6 {
 //!     sim.step(&nl)?;
@@ -30,30 +30,16 @@
 //! # Ok::<(), symbist_circuit::error::CircuitError>(())
 //! ```
 
-use crate::dc::{charge_newton_iteration, DcSolver, Operating, GMIN, MAX_ITER};
+use crate::dc::{charge_newton_iteration, DcSolver, GMIN, MAX_ITER};
 use crate::error::CircuitError;
 use crate::mna::{Assembler, AssemblyCtx, CapCompanion, MnaEngine, Thermal, T_NOMINAL_K};
 use crate::netlist::{Device, DeviceId, Netlist, NodeId};
-use crate::waveform::{Trace, TraceSet};
-
-/// Numerical integration method for capacitors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// Backward Euler: L-stable, first order, damps switching ringing —
-    /// the default for switched-capacitor work.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal: second order, energy preserving.
-    Trapezoidal,
-}
 
 /// Transient analysis options.
 #[derive(Debug, Clone)]
 pub struct TransientOptions {
     /// Fixed time step in seconds.
     pub dt: f64,
-    /// Integration method.
-    pub integrator: Integrator,
     /// When `true`, capacitors with an `ic` start from it instead of the DC
     /// operating point.
     pub use_ic: bool,
@@ -63,20 +49,12 @@ impl Default for TransientOptions {
     fn default() -> Self {
         Self {
             dt: 1e-10,
-            integrator: Integrator::default(),
             use_ic: false,
         }
     }
 }
 
-/// Per-capacitor dynamic state.
-#[derive(Debug, Clone, Copy)]
-struct CapState {
-    v_prev: f64,
-    i_prev: f64,
-}
-
-/// A running transient simulation.
+/// A running backward-Euler transient simulation.
 ///
 /// The netlist is borrowed per call rather than owned so that external
 /// controllers can mutate switch states and source values between steps.
@@ -88,13 +66,10 @@ pub struct TransientSim {
     x: Vec<f64>,
     time: f64,
     dt: f64,
-    integrator: Integrator,
-    cap_state: Vec<Option<CapState>>,
+    /// Each capacitor's voltage at the previous step, by device index.
+    cap_v: Vec<Option<f64>>,
     companions: Vec<Option<CapCompanion>>,
     device_count: usize,
-    /// Trapezoidal needs a consistent capacitor current to start from; the
-    /// first step is always taken with backward Euler to provide one.
-    first_step: bool,
     /// Steps taken by this sim, flushed to the registry once on drop so
     /// the per-step cost stays a plain integer increment.
     steps_taken: u64,
@@ -130,19 +105,16 @@ impl TransientSim {
         let solver = DcSolver::new();
         let op = solver.solve(netlist)?;
         let asm = MnaEngine::new(netlist);
-        let mut cap_state = vec![None; netlist.device_count()];
-        for (id, dev) in netlist.iter() {
-            if let Device::Capacitor { a, b, ic, .. } = dev {
-                let v0 = match (options.use_ic, ic) {
+        let cap_v = netlist
+            .iter()
+            .map(|(_, dev)| match dev {
+                Device::Capacitor { a, b, ic, .. } => Some(match (options.use_ic, ic) {
                     (true, Some(v)) => *v,
                     _ => op.voltage(*a) - op.voltage(*b),
-                };
-                cap_state[id.index()] = Some(CapState {
-                    v_prev: v0,
-                    i_prev: 0.0,
-                });
-            }
-        }
+                }),
+                _ => None,
+            })
+            .collect();
         let device_count = netlist.device_count();
         Ok(Self {
             x: op.raw().to_vec(),
@@ -150,11 +122,9 @@ impl TransientSim {
             solver,
             time: 0.0,
             dt: options.dt,
-            integrator: options.integrator,
-            cap_state,
+            cap_v,
             companions: vec![None; device_count],
             device_count,
-            first_step: true,
             steps_taken: 0,
         })
     }
@@ -162,26 +132,6 @@ impl TransientSim {
     /// Current simulation time in seconds.
     pub fn time(&self) -> f64 {
         self.time
-    }
-
-    /// Current time step.
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Changes the time step for subsequent steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `dt` is not strictly positive.
-    pub fn set_dt(&mut self, dt: f64) -> Result<(), CircuitError> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(CircuitError::InvalidConfig {
-                reason: format!("time step must be > 0, got {dt}"),
-            });
-        }
-        self.dt = dt;
-        Ok(())
     }
 
     /// Voltage of a node at the current time.
@@ -198,29 +148,6 @@ impl TransientSim {
             "node {n} out of range"
         );
         self.x[n.index() - 1]
-    }
-
-    /// Differential voltage `v(a) − v(b)` at the current time.
-    pub fn differential(&self, a: NodeId, b: NodeId) -> f64 {
-        self.voltage(a) - self.voltage(b)
-    }
-
-    /// Branch current of a voltage-defined device at the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device has no branch current.
-    pub fn branch_current(&self, id: DeviceId) -> f64 {
-        self.x[self.asm.layout().branch_index(id)]
-    }
-
-    /// A snapshot of the current solution as an [`Operating`] point.
-    pub fn operating(&self) -> Operating {
-        Operating {
-            x: self.x.clone(),
-            node_count: self.asm.layout().node_count,
-            branch_of: self.asm.layout().branch_of.clone(),
-        }
     }
 
     /// Advances one time step.
@@ -246,30 +173,9 @@ impl TransientSim {
         // Build companion models from the previous step's state.
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { farads, .. } = dev {
-                let st = self.cap_state[id.index()].expect("capacitor state missing");
-                let integrator = if self.first_step {
-                    // Startup: i_prev is not yet consistent; BE ignores it.
-                    Integrator::BackwardEuler
-                } else {
-                    self.integrator
-                };
-                let comp = match integrator {
-                    Integrator::BackwardEuler => {
-                        let g = farads / self.dt;
-                        CapCompanion {
-                            g,
-                            ieq: g * st.v_prev,
-                        }
-                    }
-                    Integrator::Trapezoidal => {
-                        let g = 2.0 * farads / self.dt;
-                        CapCompanion {
-                            g,
-                            ieq: g * st.v_prev + st.i_prev,
-                        }
-                    }
-                };
-                self.companions[id.index()] = Some(comp);
+                let v_prev = self.cap_v[id.index()].expect("capacitor state missing");
+                let g = farads / self.dt;
+                self.companions[id.index()] = Some(CapCompanion { g, ieq: g * v_prev });
             }
         }
 
@@ -288,26 +194,16 @@ impl TransientSim {
             result?
         };
         if !converged {
-            return Err(CircuitError::NoConvergence {
-                analysis: "transient step",
-                iterations: MAX_ITER,
-            });
+            return Err(step_failed());
         }
 
         // Update capacitor states from the solved step.
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { a, b, .. } = dev {
-                let comp = self.companions[id.index()].expect("companion missing");
-                let v = self.node_v(*a) - self.node_v(*b);
-                let i = comp.g * v - comp.ieq;
-                self.cap_state[id.index()] = Some(CapState {
-                    v_prev: v,
-                    i_prev: i,
-                });
+                self.cap_v[id.index()] = Some(self.node_v(*a) - self.node_v(*b));
             }
         }
         self.time = t_next;
-        self.first_step = false;
         self.steps_taken += 1;
         Ok(())
     }
@@ -317,34 +213,6 @@ impl TransientSim {
             None => 0.0,
             Some(i) => self.x[i],
         }
-    }
-
-    /// Runs until `t_end`, recording the given probes at every step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates step failures.
-    pub fn run_until(
-        &mut self,
-        netlist: &Netlist,
-        t_end: f64,
-        probes: &[(&str, NodeId)],
-    ) -> Result<TraceSet, CircuitError> {
-        let mut traces: Vec<Trace> = probes.iter().map(|(name, _)| Trace::new(*name)).collect();
-        for (trace, (_, node)) in traces.iter_mut().zip(probes) {
-            trace.push(self.time, self.voltage(*node));
-        }
-        while self.time < t_end - 0.5 * self.dt {
-            self.step(netlist)?;
-            for (trace, (_, node)) in traces.iter_mut().zip(probes) {
-                trace.push(self.time, self.voltage(*node));
-            }
-        }
-        let mut set = TraceSet::new();
-        for t in traces {
-            set.insert(t);
-        }
-        Ok(set)
     }
 }
 
@@ -369,14 +237,13 @@ impl TransientSim {
 /// `k × (k + n_src)` mat-vec over the capacitor voltages; node voltages
 /// are evaluated on demand from the last step's `(s, u)`.
 ///
-/// The contract is [`TransientSim`]'s under backward Euler with default
-/// options: the same DC starting point and errors, one Newton iteration
+/// The contract is [`TransientSim`]'s with default options: the same DC
+/// starting point and errors, one Newton iteration
 /// charged to the thread [`crate::dc::SolveBudget`] per step, and the same
 /// step counter. Between steps a controller may flip switches and change
 /// device or source values; the device list and its connections must stay
 /// fixed. `TransientSim` remains the general engine (nonlinear devices,
-/// trapezoidal integration, `use_ic`, variable `dt`) and this type's
-/// differential oracle.
+/// `use_ic`) and this type's differential oracle.
 ///
 /// # Examples
 ///
@@ -471,7 +338,7 @@ fn nonlinear_device(id: DeviceId) -> CircuitError {
     }
 }
 
-/// How [`TransientSim::step`] reports a failed linear step.
+/// How a transient step that fails to converge is reported.
 fn step_failed() -> CircuitError {
     CircuitError::NoConvergence {
         analysis: "transient step",
@@ -731,7 +598,6 @@ mod tests {
             TransientOptions {
                 dt: 5e-9,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -744,36 +610,6 @@ mod tests {
             "v = {}",
             sim.voltage(o)
         );
-    }
-
-    #[test]
-    fn rc_step_response_trapezoidal_more_accurate() {
-        let run = |integrator: Integrator| {
-            let mut nl = Netlist::new();
-            let s = nl.node("s");
-            let o = nl.node("o");
-            nl.vsource(s, Netlist::GND, 1.0);
-            nl.resistor(s, o, 1e3);
-            nl.capacitor_with_ic(o, Netlist::GND, 1e-9, 0.0);
-            let mut sim = TransientSim::new(
-                &nl,
-                TransientOptions {
-                    dt: 2e-8,
-                    integrator,
-                    use_ic: true,
-                },
-            )
-            .unwrap();
-            while sim.time() < 1e-6 {
-                sim.step(&nl).unwrap();
-            }
-            sim.voltage(o)
-        };
-        let expect = 1.0 - (-1.0f64).exp();
-        let be_err = (run(Integrator::BackwardEuler) - expect).abs();
-        let tr_err = (run(Integrator::Trapezoidal) - expect).abs();
-        assert!(tr_err < be_err, "trap {tr_err} should beat BE {be_err}");
-        assert!(tr_err < 1e-4);
     }
 
     #[test]
@@ -807,7 +643,6 @@ mod tests {
             TransientOptions {
                 dt: 1e-9,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -878,13 +713,15 @@ mod tests {
             },
         )
         .unwrap();
-        let traces = sim
-            .run_until(&nl, 4e-7, &[("s", nl.find_node("s").unwrap())])
-            .unwrap();
-        let tr = traces.trace("s").unwrap();
-        assert!(tr.sample_at(5e-8) < 0.01);
-        assert!(tr.sample_at(1.5e-7) > 0.99);
-        assert!(tr.sample_at(3.5e-7) < 0.01);
+        let mut at = |t: f64| {
+            while sim.time() < t - 0.5e-9 {
+                sim.step(&nl).unwrap();
+            }
+            sim.voltage(s)
+        };
+        assert!(at(5e-8) < 0.01);
+        assert!(at(1.5e-7) > 0.99);
+        assert!(at(3.5e-7) < 0.01);
     }
 
     #[test]
@@ -903,7 +740,6 @@ mod tests {
             TransientOptions {
                 dt: 1e-12,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -927,18 +763,15 @@ mod tests {
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.resistor(a, Netlist::GND, 1e3);
-        assert!(TransientSim::new(
-            &nl,
-            TransientOptions {
-                dt: 0.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
-        assert!(sim.set_dt(-1.0).is_err());
-        assert!(sim.set_dt(1e-9).is_ok());
         for dt in [0.0, -1e-9, f64::NAN] {
+            let options = TransientOptions {
+                dt,
+                ..Default::default()
+            };
+            assert!(matches!(
+                TransientSim::new(&nl, options),
+                Err(CircuitError::InvalidConfig { .. })
+            ));
             assert!(matches!(
                 LinearTransient::new(&nl, dt),
                 Err(CircuitError::InvalidConfig { .. })

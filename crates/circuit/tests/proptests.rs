@@ -117,7 +117,6 @@ fn charge_conservation() {
             TransientOptions {
                 dt: 2e-12,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -177,7 +176,6 @@ fn rc_settles() {
             TransientOptions {
                 dt: tau / 50.0,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .unwrap();

@@ -508,9 +508,9 @@ mod tests {
     use symbist_adc::fault::{BlockKind, ComponentInfo, ComponentKind, DefectSite, Faultable};
     use symbist_defects::LikelihoodModel;
 
-    /// A minimal faultable harness over an explicit catalog.
-    struct Harness(Vec<ComponentInfo>);
-    impl Faultable for Harness {
+    /// A minimal faultable DUT over an explicit catalog.
+    struct CatalogDut(Vec<ComponentInfo>);
+    impl Faultable for CatalogDut {
         fn components(&self) -> &[ComponentInfo] {
             &self.0
         }
@@ -542,13 +542,13 @@ mod tests {
         let r2 = nl.resistor(outp, Netlist::GND, 1e3);
         let r3 = nl.resistor(vref, outn, 1e3);
         let r4 = nl.resistor(outn, Netlist::GND, 1e3);
-        let harness = Harness(vec![
+        let dut = CatalogDut(vec![
             resistor_info("RP1"),
             resistor_info("RP2"),
             resistor_info("RN1"),
             resistor_info("RN2"),
         ]);
-        let universe = DefectUniverse::enumerate(&harness, &LikelihoodModel::default());
+        let universe = DefectUniverse::enumerate(&dut, &LikelihoodModel::default());
         assert_eq!(universe.len(), 16);
         let bindings = vec![Some(r1), Some(r2), Some(r3), Some(r4)];
         let invariances = vec![ObservedInvariance {
@@ -590,8 +590,8 @@ mod tests {
         let island_a = nl.node("island_a");
         let island_b = nl.node("island_b");
         let r_island = nl.resistor(island_a, island_b, 1e3);
-        let harness = Harness(vec![resistor_info("RMAIN"), resistor_info("RISLAND")]);
-        let universe = DefectUniverse::enumerate(&harness, &LikelihoodModel::default());
+        let dut = CatalogDut(vec![resistor_info("RMAIN"), resistor_info("RISLAND")]);
+        let universe = DefectUniverse::enumerate(&dut, &LikelihoodModel::default());
         let bindings = vec![Some(r_main), Some(r_island)];
         let invariances = vec![ObservedInvariance {
             name: "obs".into(),
@@ -623,8 +623,8 @@ mod tests {
         let dead_a = nl.node("dead_a");
         let dead_b = nl.node("dead_b");
         nl.vsource(dead_a, dead_b, 0.5);
-        let harness = Harness(vec![resistor_info("R1")]);
-        let universe = DefectUniverse::enumerate(&harness, &LikelihoodModel::default());
+        let dut = CatalogDut(vec![resistor_info("R1")]);
+        let universe = DefectUniverse::enumerate(&dut, &LikelihoodModel::default());
         let bindings = vec![Some(r)];
         let invariances = vec![
             ObservedInvariance {
@@ -671,13 +671,13 @@ mod tests {
         let r2 = nl.resistor(outp, Netlist::GND, 1e3);
         let r3 = nl.resistor(vref, outn, 2e3); // asymmetric leg
         let r4 = nl.resistor(outn, Netlist::GND, 1e3);
-        let harness = Harness(vec![
+        let dut = CatalogDut(vec![
             resistor_info("RP1"),
             resistor_info("RP2"),
             resistor_info("RN1"),
             resistor_info("RN2"),
         ]);
-        let universe = DefectUniverse::enumerate(&harness, &LikelihoodModel::default());
+        let universe = DefectUniverse::enumerate(&dut, &LikelihoodModel::default());
         let bindings = vec![Some(r1), Some(r2), Some(r3), Some(r4)];
         let invariances = vec![ObservedInvariance {
             name: "rep".into(),
@@ -737,8 +737,8 @@ mod tests {
         let out = nl.node("out");
         nl.vsource(out, Netlist::GND, 1.0);
         let r = nl.resistor(out, Netlist::GND, 1e3);
-        let harness = Harness(vec![resistor_info("R1")]);
-        let universe = DefectUniverse::enumerate(&harness, &LikelihoodModel::default());
+        let dut = CatalogDut(vec![resistor_info("R1")]);
+        let universe = DefectUniverse::enumerate(&dut, &LikelihoodModel::default());
         let bindings = vec![Some(r)];
         let invariances = vec![ObservedInvariance {
             name: "obs".into(),

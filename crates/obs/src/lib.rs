@@ -24,8 +24,9 @@
 //!   the loss — tracing can stay on in production without growing without
 //!   bound.
 //! * **Globally disableable.** [`set_enabled`]`(false)` turns every
-//!   recording path into a single relaxed load (the `--no-obs` mode the
-//!   `bench_engine` overhead measurement compares against).
+//!   recording path into a single relaxed load: the baseline the
+//!   `obs_overhead` gate in `symbist-bench` compares the live layer
+//!   against on the shipping observation sweep.
 //!
 //! ## Quick start
 //!
@@ -71,8 +72,8 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turns all metric recording and span capture on or off, returning the
 /// previous state. With recording off every instrumentation point costs
-/// one relaxed atomic load — this is the `--no-obs` mode benchmarks
-/// compare against to price the instrumentation itself.
+/// one relaxed atomic load — the baseline the `obs_overhead` gate
+/// compares against to price the instrumentation itself.
 pub fn set_enabled(on: bool) -> bool {
     ENABLED.swap(on, Ordering::SeqCst)
 }
@@ -130,7 +131,7 @@ macro_rules! span {
 /// carriage return and tab get their short escapes, every other control
 /// character becomes `\u00XX`, and everything else (non-ASCII included)
 /// passes through unchanged. The one string escaper behind span NDJSON,
-/// `lint --json`, the DUT registry's JSON values and `BENCH_engine.json`.
+/// `lint --json` and the DUT registry's JSON values.
 pub fn write_json_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {

@@ -70,7 +70,6 @@ fn main() {
             TransientOptions {
                 dt: step,
                 use_ic: true,
-                ..Default::default()
             },
         )
         .expect("transient start");
