@@ -72,9 +72,31 @@ impl SolveBudget {
     };
 }
 
+/// `symbist_solver_dc_solve_seconds` times one DC solve in this many per
+/// thread, starting with the thread's first. The two clock reads of a
+/// timed solve cost more than all its other instrumentation together, and
+/// a reference-ladder solve takes only microseconds.
+const DC_TIMING_STRIDE: u32 = 16;
+
 thread_local! {
     static THREAD_BUDGET: std::cell::Cell<Option<SolveBudget>> =
         const { std::cell::Cell::new(None) };
+    /// DC solves on this thread until the next timed one.
+    static DC_SOLVES_UNTIL_TIMED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Whether this DC solve is the thread's timed one in [`DC_TIMING_STRIDE`].
+fn dc_solve_timed() -> bool {
+    DC_SOLVES_UNTIL_TIMED.with(|left| match left.get() {
+        0 => {
+            left.set(DC_TIMING_STRIDE - 1);
+            true
+        }
+        n => {
+            left.set(n - 1);
+            false
+        }
+    })
 }
 
 /// Installs (or with `None` clears) the solve budget for the current thread
@@ -217,20 +239,23 @@ impl DcSolver {
         netlist: &Netlist,
         initial: Option<&[f64]>,
     ) -> Result<Operating, CircuitError> {
+        if !symbist_obs::enabled() {
+            return self.solve_from_inner(netlist, initial);
+        }
         // Time the whole continuation ladder, not individual Newton
         // attempts: a solve that needed gmin stepping should show its
         // full cost in one histogram sample.
-        let start = symbist_obs::enabled().then(std::time::Instant::now);
+        let start = dc_solve_timed().then(std::time::Instant::now);
         let result = self.solve_from_inner(netlist, initial);
+        symbist_obs::counter!(
+            "symbist_solver_dc_solves_total",
+            "DC operating-point solves (all continuation strategies included)"
+        )
+        .inc();
         if let Some(start) = start {
-            symbist_obs::counter!(
-                "symbist_solver_dc_solves_total",
-                "DC operating-point solves (all continuation strategies included)"
-            )
-            .inc();
             symbist_obs::histogram!(
                 "symbist_solver_dc_solve_seconds",
-                "Wall time per DC operating-point solve",
+                "Wall time per DC operating-point solve, one solve in 16 per thread",
                 symbist_obs::SECONDS_EDGES
             )
             .record(start.elapsed().as_secs_f64());
@@ -659,5 +684,18 @@ mod tests {
         let op = DcSolver::new().solve(&nl);
         set_thread_solve_budget(prev);
         assert!(op.is_ok());
+    }
+
+    #[test]
+    fn a_thread_times_its_first_dc_solve_then_one_in_the_stride() {
+        let stride = DC_TIMING_STRIDE as usize;
+        let timed: Vec<usize> = std::thread::spawn(move || {
+            (0..3 * stride)
+                .filter(|_| dc_solve_timed())
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(timed, [0, stride, 2 * stride]);
     }
 }

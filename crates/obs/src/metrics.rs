@@ -46,10 +46,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`. A no-op while recording is disabled.
+    /// Adds `n`. A no-op while recording is disabled, and for `n = 0`:
+    /// drop-time flushes of per-solve tallies mostly add zeros.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
+        if n != 0 && enabled() {
             self.value.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -90,14 +91,14 @@ impl Gauge {
 }
 
 /// A fixed-bucket histogram. Bucket `i` counts samples `v <= edges[i]`;
-/// one extra bucket catches everything above the last edge (`+Inf`).
+/// one extra bucket catches everything above the last edge (`+Inf`), so
+/// the sample count is the buckets' total and is not stored apart.
 /// The sum is an `f64` maintained by compare-and-swap on its bit pattern.
 #[derive(Debug)]
 pub struct Histogram {
     edges: &'static [f64],
     buckets: Box<[AtomicU64]>,
     sum_bits: AtomicU64,
-    count: AtomicU64,
 }
 
 /// Index of the bucket a value falls into for the given edge slice
@@ -113,7 +114,6 @@ impl Histogram {
             edges,
             buckets,
             sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -129,15 +129,14 @@ impl Histogram {
             return;
         }
         self.buckets[bucket_index(self.edges, v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.add_sum(v);
     }
 
     /// Merges a batch of pre-bucketed samples (the [`LocalHistogram`]
     /// flush path). `counts` must use this histogram's edges and have
     /// `edges().len() + 1` entries. A no-op while recording is disabled.
-    pub fn merge(&self, counts: &[u64], sum: f64, count: u64) {
-        if !enabled() || count == 0 {
+    pub fn merge(&self, counts: &[u64], sum: f64) {
+        if !enabled() {
             return;
         }
         for (bucket, n) in self.buckets.iter().zip(counts) {
@@ -145,7 +144,6 @@ impl Histogram {
                 bucket.fetch_add(*n, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(count, Ordering::Relaxed);
         self.add_sum(sum);
     }
 
@@ -167,7 +165,7 @@ impl Histogram {
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of recorded samples.
@@ -221,7 +219,7 @@ impl LocalHistogram {
         if self.count == 0 {
             return;
         }
-        self.target.merge(&self.counts, self.sum, self.count);
+        self.target.merge(&self.counts, self.sum);
         self.counts.fill(0);
         self.sum = 0.0;
         self.count = 0;
@@ -412,17 +410,19 @@ fn render_histogram(out: &mut String, family: &str, labels: &str, h: &Histogram)
             with_extra_label(family, "_bucket", labels, &format!("le=\"{edge}\""))
         );
     }
+    // The overflow bucket completes the snapshot, so `+Inf` and `_count`
+    // agree with the finite buckets even while samples are landing.
+    let count = cumulative + counts[h.edges().len()];
     let _ = writeln!(
         out,
-        "{} {}",
-        with_extra_label(family, "_bucket", labels, "le=\"+Inf\""),
-        h.count()
+        "{} {count}",
+        with_extra_label(family, "_bucket", labels, "le=\"+Inf\"")
     );
     let sum = h.sum();
     let sum_name = series_name(&format!("{family}_sum"), labels);
     let count_name = series_name(&format!("{family}_count"), labels);
     let _ = writeln!(out, "{sum_name} {sum}");
-    let _ = writeln!(out, "{count_name} {}", h.count());
+    let _ = writeln!(out, "{count_name} {count}");
 }
 
 fn escape_help(help: &str) -> String {
