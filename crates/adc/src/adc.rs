@@ -2,8 +2,9 @@
 //! conversion engine, and the SymBIST observation taps.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use symbist_circuit::dc::set_thread_solve_budget;
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::Netlist;
 use symbist_circuit::rng::Rng;
@@ -87,6 +88,22 @@ pub struct SarAdc {
     /// invalidated on any state change. A mutex (not `RefCell`) so the
     /// defect campaign can share one base instance across worker threads.
     ref_cache: Mutex<HashMap<(u8, u8), RefOutputs>>,
+    /// The defect-free [`Upstream`] values of this mismatch state, solved
+    /// on first use and shared by every clone (`None` inside when the
+    /// defect-free instance does not solve). [`SarAdc::apply_mismatch`]
+    /// starts a fresh one.
+    upstream: Arc<OnceLock<Option<Upstream>>>,
+}
+
+/// What a defect never changes: the defect-free bandgap output and the
+/// reference-ladder outputs at the 32 counter codes `(c, c)`. Blocks pass
+/// values downstream, not loads upstream, so a defect outside the blocks
+/// that produce a value leaves it bit-identical.
+#[derive(Debug)]
+struct Upstream {
+    vbg: f64,
+    /// Indexed by counter code.
+    ladder: Vec<RefOutputs>,
 }
 
 /// Internal addressing of the owning sub-block structs.
@@ -185,6 +202,7 @@ impl Clone for SarAdc {
                     .unwrap_or_else(|e| e.into_inner())
                     .clone(),
             ),
+            upstream: Arc::clone(&self.upstream),
         }
     }
 }
@@ -240,6 +258,7 @@ impl SarAdc {
             ranges,
             injected: None,
             ref_cache: Mutex::new(HashMap::new()),
+            upstream: Arc::default(),
         }
     }
 
@@ -261,6 +280,7 @@ impl SarAdc {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
+        self.upstream = Arc::default();
     }
 
     /// The electrical configuration.
@@ -340,8 +360,78 @@ impl SarAdc {
         out
     }
 
+    /// The sub-block owning catalog entry `component`, and the start of its
+    /// catalog range.
+    fn owner(&self, component: usize) -> (SubBlock, usize) {
+        self.ranges
+            .iter()
+            .find(|(_, r)| r.contains(&component))
+            .map(|(sb, r)| (*sb, r.start))
+            .expect("ranges cover the catalog")
+    }
+
+    /// Whether the injected defect, if any, lies outside sub-block `sb`.
+    fn healthy(&self, sb: SubBlock) -> bool {
+        self.injected
+            .is_none_or(|site| self.owner(site.component).0 != sb)
+    }
+
+    /// The defect-free upstream values, solved once per mismatch state.
+    ///
+    /// The fill solves defect-free copies of the blocks, because the first
+    /// caller may itself carry a defect. It runs with the thread
+    /// `SolveBudget` suspended: every clone shares the result, so charging
+    /// it to whichever defect asks first would make budget verdicts and
+    /// solver counters depend on scheduling.
+    fn upstream(&self) -> Option<&Upstream> {
+        self.upstream
+            .get_or_init(|| {
+                let mut bandgap = self.bandgap.clone();
+                bandgap.set_defect(None);
+                let mut refbuf = self.refbuf.clone();
+                refbuf.set_defect(None);
+                let sd1 = SubDac::new(BlockKind::SubDac1);
+                let sd2 = SubDac::new(BlockKind::SubDac2);
+                let budget = set_thread_solve_budget(None);
+                let solved = bandgap.solve().and_then(|out| {
+                    let ladder = (0..32u8)
+                        .map(|c| solve_ref_network(&refbuf, &sd1, &sd2, out.vbg, c, c))
+                        .collect::<Result<_, _>>()?;
+                    Ok(Upstream {
+                        vbg: out.vbg,
+                        ladder,
+                    })
+                });
+                set_thread_solve_budget(budget);
+                solved.ok()
+            })
+            .as_ref()
+    }
+
+    /// The bandgap output: the defect-free one unless the defect sits in
+    /// the bandgap.
     fn vbg(&self) -> Result<f64, CircuitError> {
+        if self.healthy(SubBlock::Bandgap) {
+            if let Some(up) = self.upstream() {
+                return Ok(up.vbg);
+            }
+        }
         Ok(self.bandgap.solve()?.vbg)
+    }
+
+    /// The defect-free ladder outputs at code `(c, c)` when this instance
+    /// would build the same reference network: the reference buffer is
+    /// healthy, `vbg` is bit-identical, and neither sub-DAC's defect alters
+    /// code `c`.
+    fn reused_ladder(&self, vbg: f64, c: u8) -> Option<RefOutputs> {
+        if !self.healthy(SubBlock::RefBuf)
+            || self.sd1.alters(c, &self.cfg)
+            || self.sd2.alters(c, &self.cfg)
+        {
+            return None;
+        }
+        let up = self.upstream()?;
+        (vbg.to_bits() == up.vbg.to_bits()).then(|| up.ladder[usize::from(c)])
     }
 
     /// The actual buffered reference (ladder top tap) feeding the Vcm
@@ -360,6 +450,11 @@ impl SarAdc {
     }
 
     fn ref_solve(&self, vbg: f64, m: u8, l: u8) -> Result<RefOutputs, CircuitError> {
+        if m == l {
+            if let Some(out) = self.reused_ladder(vbg, m) {
+                return Ok(out);
+            }
+        }
         if let Some(out) = self
             .ref_cache
             .lock()
@@ -552,13 +647,8 @@ impl Faultable for SarAdc {
     fn inject(&mut self, site: DefectSite) {
         check_site(&self.catalog, site);
         self.clear_defects();
-        let (sb, range) = self
-            .ranges
-            .iter()
-            .find(|(_, r)| r.contains(&site.component))
-            .expect("ranges cover the catalog")
-            .clone();
-        let local = site.component - range.start;
+        let (sb, start) = self.owner(site.component);
+        let local = site.component - start;
         let d = Some((local, site.kind));
         match sb {
             SubBlock::Bandgap => self.bandgap.set_defect(d),
@@ -600,6 +690,7 @@ impl Faultable for SarAdc {
 mod tests {
     use super::*;
     use crate::fault::{ComponentKind, DefectKind};
+    use symbist_circuit::dc::SolveBudget;
 
     fn adc() -> SarAdc {
         SarAdc::new(AdcConfig::default())
@@ -851,6 +942,106 @@ mod tests {
             0,
             "apply_mismatch must clear the poisoned cache"
         );
+        Ok(())
+    }
+
+    /// Ladder outputs as raw bits, for bit-for-bit comparison.
+    fn ladder_bits(r: Result<RefOutputs, CircuitError>) -> Result<[u64; 6], CircuitError> {
+        r.map(|o| [o.m_plus, o.m_minus, o.l_plus, o.l_minus, o.vref16, o.vref32].map(f64::to_bits))
+    }
+
+    /// The upstream values an instance uses against a direct `Bandgap::solve`
+    /// plus `solve_ref_network` on its own blocks, for every counter code.
+    fn assert_upstream_matches_direct(a: &SarAdc, label: &str) -> Result<(), CircuitError> {
+        let direct_vbg = a.bandgap.solve()?.vbg;
+        let mut stream = a.try_observation_stream(0.2)?;
+        assert_eq!(stream.vbg.to_bits(), direct_vbg.to_bits(), "{label}: vbg");
+        for c in 0..32u8 {
+            let used = stream.try_observe(c).map(|o| RefOutputs {
+                m_plus: o.m_plus,
+                m_minus: o.m_minus,
+                l_plus: o.l_plus,
+                l_minus: o.l_minus,
+                vref16: o.vref16,
+                vref32: o.vref32,
+            });
+            let direct = solve_ref_network(&a.refbuf, &a.sd1, &a.sd2, direct_vbg, c, c);
+            assert_eq!(
+                ladder_bits(used),
+                ladder_bits(direct),
+                "{label}: ladder @ code {c}"
+            );
+        }
+        Ok(())
+    }
+
+    /// The reuse oracle over the whole defect universe: whatever an
+    /// instance takes from the shared defect-free snapshot equals what it
+    /// would solve itself, bit for bit. The first instance to fill the
+    /// snapshot carries a bandgap defect.
+    #[test]
+    fn every_defect_sees_its_own_upstream_values() -> Result<(), CircuitError> {
+        let base = adc();
+        let mut defects = 0;
+        for (component, info) in base.components().iter().enumerate() {
+            for &kind in info.kind.applicable_defects() {
+                let mut a = base.clone();
+                let site = DefectSite { component, kind };
+                a.inject(site);
+                assert_upstream_matches_direct(&a, &format!("{site:?}"))?;
+                defects += 1;
+            }
+        }
+        assert_eq!(defects, 3922);
+        assert!(base.upstream.get().is_some_and(Option::is_some));
+        Ok(())
+    }
+
+    /// The snapshot fill runs outside the thread budget: a sweep that
+    /// fills it spends exactly what a sweep on a filled snapshot spends.
+    #[test]
+    fn the_snapshot_fill_charges_nothing_to_the_thread_budget() -> Result<(), CircuitError> {
+        const ALLOWANCE: u64 = 1_000_000;
+        let spent = |a: &SarAdc| -> Result<u64, CircuitError> {
+            let prev = set_thread_solve_budget(Some(SolveBudget {
+                deadline: None,
+                newton_iters: Some(ALLOWANCE),
+            }));
+            let swept = a.try_symbist_observations(0.2);
+            let left = set_thread_solve_budget(prev).and_then(|b| b.newton_iters);
+            swept?;
+            Ok(ALLOWANCE - left.expect("the budget was installed"))
+        };
+        let cold = adc();
+        let warm = adc();
+        warm.clone().try_symbist_observations(0.2)?;
+        assert!(cold.upstream.get().is_none());
+        assert_eq!(spent(&cold.clone())?, spent(&warm.clone())?);
+        assert!(
+            cold.upstream.get().is_some(),
+            "the budgeted sweep filled it"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn clones_after_apply_mismatch_never_see_the_old_snapshot() -> Result<(), CircuitError> {
+        let base = adc();
+        let nominal = base.clone().try_symbist_observations(0.2)?;
+        assert!(
+            base.upstream.get().is_some(),
+            "the sweep filled the snapshot"
+        );
+
+        let mut varied = base.clone();
+        varied.apply_mismatch(&AdcMismatch::sample(&mut Rng::seed_from_u64(3)));
+        assert!(!Arc::ptr_eq(&varied.upstream, &base.upstream));
+        let clone = varied.clone();
+        assert!(Arc::ptr_eq(&clone.upstream, &varied.upstream));
+        assert_upstream_matches_direct(&clone, "clone of the mismatched instance")?;
+        assert_ne!(clone.try_symbist_observations(0.2)?, nominal);
+        // The instance cloned from stays on the snapshot of its own state.
+        assert_eq!(base.clone().try_symbist_observations(0.2)?, nominal);
         Ok(())
     }
 

@@ -222,6 +222,16 @@ pub enum MuxSide {
     N,
 }
 
+impl MuxSide {
+    /// The ladder tap this mux selects at (effective) code `code`.
+    fn tap(self, code: u8) -> usize {
+        match self {
+            MuxSide::P => code as usize,
+            MuxSide::N => 32 - code as usize,
+        }
+    }
+}
+
 /// Electrical state of one tap switch after defect mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TapState {
@@ -347,6 +357,24 @@ impl SubDac {
             // Opens slow the decode but do not change its DC value: escape.
             code
         }
+    }
+
+    /// Whether the defect changes this sub-DAC's part of the reference
+    /// network at counter code `code`: the effective select code or any
+    /// tap state of either mux differs from a defect-free sub-DAC's.
+    pub(crate) fn alters(&self, code: u8, cfg: &AdcConfig) -> bool {
+        if self.defect.is_none() {
+            return false;
+        }
+        let healthy = SubDac::new(self.block);
+        [MuxSide::P, MuxSide::N].into_iter().any(|side| {
+            let selected = side.tap(code);
+            self.effective_code(side, code) != code
+                || (0..TAPS).any(|tap| {
+                    self.tap_state(side, tap, selected, cfg)
+                        != healthy.tap_state(side, tap, selected, cfg)
+                })
+        })
     }
 
     /// Electrical state of tap `tap` of mux `side`, given the (corrupted)
@@ -511,11 +539,7 @@ fn emit_mux(
     code: u8,
     out: NodeId,
 ) {
-    let eff = sub.effective_code(side, code);
-    let selected = match side {
-        MuxSide::P => eff as usize,
-        MuxSide::N => 32 - eff as usize,
-    };
+    let selected = side.tap(sub.effective_code(side, code));
     for tap in 0..TAPS {
         let tap_node = core.tap_nodes[tap];
         match sub.tap_state(side, tap, selected, cfg) {
@@ -789,6 +813,44 @@ mod tests {
         s1.set_defect(Some((idx, DefectKind::OpenSource)));
         let out = solve_ref_network(&rb, &s1, &s2, VBG_NOM, 5, 0).unwrap();
         assert!(out.m_plus.abs() < 0.05, "floating M+ = {}", out.m_plus);
+    }
+
+    /// `SubDac::alters` is exact: over every sub-DAC site, MOSFET defect
+    /// kind and counter code it holds exactly when the reference-network
+    /// netlist differs from the defect-free one.
+    #[test]
+    fn alters_exactly_when_the_network_changes() {
+        let cfg = AdcConfig::default();
+        let (rb, s1, s2) = parts();
+        let healthy: Vec<Netlist> = (0..32u8)
+            .map(|c| ref_network_netlist(&rb, &s1, &s2, VBG_NOM, c, c))
+            .collect();
+        let (mut cases, mut altered) = (0, 0);
+        for block in [BlockKind::SubDac1, BlockKind::SubDac2] {
+            let mut sub = SubDac::new(block);
+            for idx in 0..SUBDAC_COMPONENTS {
+                for &kind in ComponentKind::Mosfet.applicable_defects() {
+                    sub.set_defect(Some((idx, kind)));
+                    let (sd1, sd2) = match block {
+                        BlockKind::SubDac1 => (&sub, &s2),
+                        _ => (&s1, &sub),
+                    };
+                    for c in 0..32u8 {
+                        let nl = ref_network_netlist(&rb, sd1, sd2, VBG_NOM, c, c);
+                        let differs = nl != healthy[usize::from(c)];
+                        assert_eq!(
+                            sub.alters(c, &cfg),
+                            differs,
+                            "{block:?} component {idx} {kind:?} @ code {c}"
+                        );
+                        cases += 1;
+                        altered += usize::from(differs);
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * SUBDAC_COMPONENTS * 6 * 32);
+        assert!(0 < altered && altered < cases, "{altered} of {cases}");
     }
 
     #[test]

@@ -13,14 +13,10 @@
 //! * [`netlist`] — circuit capture: nodes, R/C, sources, switches, diodes,
 //!   level-1 MOSFETs, controlled sources.
 //! * `mna` (crate-internal) — Modified Nodal Analysis assembly and the
-//!   solve engine, which takes its factorization from the netlist: dense
-//!   for any diode or MOSFET, sparse otherwise.
-//! * [`sparse`] — KLU-style sparse LU: one-time symbolic analysis
-//!   (fill-reducing ordering + static fill-in pattern) per topology, fast
-//!   numeric refactorization per solve. The engine for linear netlists.
-//! * [`matrix`] — dense LU with partial pivoting; the engine for nonlinear
-//!   netlists, the retry when a sparse static pivot vanishes, and the
-//!   cross-check oracle in tests.
+//!   solve engine.
+//! * [`matrix`] — dense LU with partial pivoting: the one factorization,
+//!   used by every DC, Newton and transient solve and by the SC-array step
+//!   operators.
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
 //! * [`transient`] — backward-Euler integration; the netlist is borrowed
 //!   per step so digital controllers can flip switches, which is how the
@@ -58,8 +54,6 @@
 
 pub mod ac;
 pub mod dc;
-#[cfg(test)]
-mod engine_differential;
 pub mod error;
 pub mod matrix;
 pub mod mc;
@@ -67,7 +61,6 @@ pub(crate) mod mna;
 pub mod netlist;
 pub mod parser;
 pub mod rng;
-pub mod sparse;
 pub mod topology;
 pub mod transient;
 pub mod waveform;

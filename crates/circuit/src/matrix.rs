@@ -1,9 +1,8 @@
 //! Dense linear algebra for MNA systems.
 //!
-//! LU with partial pivoting factors every netlist with a diode or MOSFET
-//! (the bandgap cores), retries a sparse solve whose static pivot vanished,
-//! builds the SC array's step operators, and is the tests' oracle for the
-//! sparse path. The module accepts stamp-style (row, col, value)
+//! LU with partial pivoting is the simulator's one factorization: it solves
+//! every MNA system, linear or not, and builds the SC array's step
+//! operators. The module accepts stamp-style (row, col, value)
 //! accumulation so the assembly code reads like classic MNA.
 //!
 //! # Examples

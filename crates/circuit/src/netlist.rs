@@ -317,10 +317,10 @@ impl Device {
 /// `device`, or `None` when all parameters are sane.
 ///
 /// This is the single source of truth for "sane device parameters": the
-/// [`Netlist`] builder methods consult it in debug builds (via
-/// `Netlist::push`'s debug assertion) and the `symbist-lint`
-/// parameter-sanity rule applies it to finished netlists, so a value the
-/// linter would flag can never slip through a builder unnoticed in tests.
+/// [`Netlist`] builder methods panic on any issue it reports (in release
+/// builds too) and the `symbist-lint` parameter-sanity rule applies it to
+/// finished netlists, so a value the linter would flag can never slip
+/// through a builder unnoticed.
 pub fn device_param_issue(device: &Device) -> Option<String> {
     fn wave_issue(wave: &SourceWave) -> Option<String> {
         match wave {
@@ -455,7 +455,7 @@ pub fn device_param_issue(device: &Device) -> Option<String> {
 }
 
 /// A flat circuit description.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Netlist {
     devices: Vec<Device>,
     /// Number of nodes including ground.
@@ -556,10 +556,9 @@ impl Netlist {
     }
 
     fn push(&mut self, d: Device) -> DeviceId {
-        // Debug-time mirror of the `symbist-lint` parameter-sanity rule:
-        // anything the linter would flag as a bad parameter is a builder
-        // bug, caught at construction in test/debug builds.
-        #[cfg(debug_assertions)]
+        // Mirror of the `symbist-lint` parameter-sanity rule: anything the
+        // linter would flag as a bad parameter is a builder bug, caught at
+        // construction in every build.
         if let Some(issue) = device_param_issue(&d) {
             panic!("invalid device parameters: {issue}");
         }
@@ -615,8 +614,8 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if `farads` is not strictly positive and finite, or (in
-    /// debug builds) if `ic` is not finite.
+    /// Panics if `farads` is not strictly positive and finite, or if `ic`
+    /// is not finite.
     pub fn capacitor_with_ic(&mut self, a: NodeId, b: NodeId, farads: f64, ic: f64) -> DeviceId {
         self.check_node(a);
         self.check_node(b);
@@ -638,6 +637,10 @@ impl Netlist {
     }
 
     /// Adds a voltage source with an arbitrary waveform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`device_param_issue`] reports a waveform parameter.
     pub fn vsource_wave(&mut self, p: NodeId, n: NodeId, wave: SourceWave) -> DeviceId {
         self.check_node(p);
         self.check_node(n);
@@ -650,6 +653,10 @@ impl Netlist {
     }
 
     /// Adds a current source with an arbitrary waveform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`device_param_issue`] reports a waveform parameter.
     pub fn isource_wave(&mut self, p: NodeId, n: NodeId, wave: SourceWave) -> DeviceId {
         self.check_node(p);
         self.check_node(n);

@@ -10,6 +10,7 @@ use std::time::Duration;
 use symbist_adc::fault::{
     check_site, BlockKind, ComponentInfo, ComponentKind, DefectKind, DefectSite, Faultable,
 };
+use symbist_adc::{AdcConfig, SarAdc};
 use symbist_circuit::dc::DcSolver;
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::Netlist;
@@ -58,6 +59,13 @@ impl Faultable for ToyDut {
         self.injected
     }
 }
+
+/// Defects drawn for the real-ADC budget test, and its per-defect Newton
+/// budget: just above what a full 32-code sweep of the SC array takes, so
+/// about half the sample (the defects that re-solve ladder codes or the
+/// bandgap) runs out.
+const NEWTON_BUDGET_SAMPLE: usize = 120;
+const TIGHT_NEWTON_BUDGET: u64 = 3200;
 
 fn universe(n: usize) -> (ToyDut, DefectUniverse) {
     let dut = ToyDut::new(n);
@@ -260,6 +268,57 @@ fn newton_budget_exhaustion_is_deterministic_on_real_solver() {
     // campaign cleared the thread budget after each defect.
     let clean = run_campaign(&dut, &uni, &CampaignOptions::default(), solver_test).unwrap();
     assert_eq!(clean.unresolved(), 0);
+}
+
+/// The real ADC under a Newton budget tight enough to cut some sweeps
+/// short: the shared defect-free snapshot is filled by whichever defect
+/// asks first, on whichever thread, and charges nothing to its budget, so
+/// every outcome is the same on 1 thread, on 3, and with the snapshot
+/// filled before the campaign starts.
+#[test]
+fn tight_newton_budget_gives_the_same_outcomes_on_any_thread_count() {
+    let test = |adc: &SarAdc| -> Result<TestOutcome, CircuitError> {
+        let obs = adc.try_symbist_observations(0.2)?;
+        let detected = obs
+            .iter()
+            .any(|o| (o.m_plus + o.m_minus - o.vref32).abs() > 1e-3);
+        Ok(completed(detected))
+    };
+    let outcomes = |threads: usize, prefill: bool| -> Vec<(usize, SimOutcome)> {
+        // A fresh base per run, so the snapshot fill happens inside the
+        // campaign unless `prefill` runs it first.
+        let adc = SarAdc::new(AdcConfig::default());
+        if prefill {
+            adc.clone().try_symbist_observations(0.2).unwrap();
+        }
+        let uni = DefectUniverse::enumerate(&adc, &LikelihoodModel::default());
+        let opts = CampaignOptions {
+            sample_size: Some(NEWTON_BUDGET_SAMPLE),
+            threads,
+            newton_budget: Some(TIGHT_NEWTON_BUDGET),
+            ..Default::default()
+        };
+        let res = run_campaign(&adc, &uni, &opts, test).unwrap();
+        let mut out: Vec<_> = res
+            .records
+            .iter()
+            .map(|r| (r.defect_index, r.outcome))
+            .collect();
+        out.sort_by_key(|(i, _)| *i);
+        out
+    };
+    let one = outcomes(1, false);
+    assert_eq!(one, outcomes(3, false));
+    assert_eq!(one, outcomes(1, true));
+    let timeouts = one
+        .iter()
+        .filter(|(_, o)| o.unresolved_reason() == Some(UnresolvedReason::Timeout))
+        .count();
+    assert!(
+        0 < timeouts && timeouts < one.len(),
+        "{timeouts} of {}",
+        one.len()
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Netlist-level rules: connectivity, singularity prediction, and
 //! parameter sanity.
 //!
-//! The singularity rules mirror the zero-pivot cases the sparse MNA engine
+//! The singularity rules mirror the zero-pivot cases the MNA engine's LU
 //! hits at runtime (`CircuitError::Singular`): a floating subcircuit, a
 //! loop of ideal voltage constraints, a current source driving into a DC
 //! cutset, and a node whose DC value exists only because the solver adds

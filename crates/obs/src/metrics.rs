@@ -23,7 +23,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::enabled;
 
 /// Log-decade time edges in seconds: 100 ns … 10 s. One decade per
-/// bucket spans everything from a sparse 3×3 solve to a full campaign
+/// bucket spans everything from a 3×3 linear solve to a full campaign
 /// checkpoint flush; log spacing keeps relative resolution constant, and
 /// fixed edges make expositions diffable across runs and commits.
 pub const SECONDS_EDGES: &[f64] = &[1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
