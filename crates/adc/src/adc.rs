@@ -1024,6 +1024,11 @@ mod tests {
         Ok(())
     }
 
+    /// Whether two instances share one store of SC-array step maps.
+    fn share_sc_maps(a: &SarAdc, b: &SarAdc) -> bool {
+        Arc::ptr_eq(a.sc.maps_store(), b.sc.maps_store())
+    }
+
     #[test]
     fn clones_after_apply_mismatch_never_see_the_old_snapshot() -> Result<(), CircuitError> {
         let base = adc();
@@ -1032,17 +1037,107 @@ mod tests {
             base.upstream.get().is_some(),
             "the sweep filled the snapshot"
         );
+        assert!(
+            base.sc.maps_store().get().is_some_and(Option::is_some),
+            "the sweep built the SC-array maps"
+        );
 
         let mut varied = base.clone();
         varied.apply_mismatch(&AdcMismatch::sample(&mut Rng::seed_from_u64(3)));
         assert!(!Arc::ptr_eq(&varied.upstream, &base.upstream));
+        assert!(!share_sc_maps(&varied, &base));
         let clone = varied.clone();
         assert!(Arc::ptr_eq(&clone.upstream, &varied.upstream));
+        assert!(share_sc_maps(&clone, &varied));
         assert_upstream_matches_direct(&clone, "clone of the mismatched instance")?;
         assert_ne!(clone.try_symbist_observations(0.2)?, nominal);
+        assert_ne!(
+            varied.sc.maps_store().get(),
+            base.sc.maps_store().get(),
+            "the mismatched maps are the mismatched array's own"
+        );
         // The instance cloned from stays on the snapshot of its own state.
         assert_eq!(base.clone().try_symbist_observations(0.2)?, nominal);
         Ok(())
+    }
+
+    /// `inject` clears every block's defect first, so the SC array's
+    /// `set_defect(None)` runs on every defect clone: it must keep the
+    /// shared maps. A clone carrying an SC-array defect never builds or
+    /// uses them.
+    #[test]
+    fn sc_maps_are_shared_by_every_clone_without_an_sc_defect() -> Result<(), CircuitError> {
+        let base = adc();
+        let site_in = |block: BlockKind| {
+            let component = base
+                .components()
+                .iter()
+                .position(|c| c.block == block)
+                .expect("every block has components");
+            DefectSite {
+                component,
+                kind: base.components()[component].kind.applicable_defects()[0],
+            }
+        };
+        let mut sc_defect = base.clone();
+        sc_defect.inject(site_in(BlockKind::ScArray));
+        assert!(share_sc_maps(&sc_defect, &base));
+        sc_defect.try_symbist_observations(0.2)?;
+        sc_defect.try_convert(0.1)?;
+        assert!(
+            base.sc.maps_store().get().is_none(),
+            "an SC-array defect built the shared maps"
+        );
+
+        let mut vcm_defect = base.clone();
+        vcm_defect.inject(site_in(BlockKind::VcmGenerator));
+        vcm_defect.try_symbist_observations(0.2)?;
+        assert!(share_sc_maps(&vcm_defect, &base));
+        assert!(base.sc.maps_store().get().is_some_and(Option::is_some));
+        sc_defect.clear_defects();
+        vcm_defect.inject(site_in(BlockKind::ScArray));
+        vcm_defect.clear_defects();
+        for a in [&sc_defect, &vcm_defect] {
+            assert!(share_sc_maps(a, &base));
+        }
+        Ok(())
+    }
+
+    /// The folded observation sweep against the stepped Fig. 5 path, which
+    /// runs one time step at a time, on every defect of the universe: the
+    /// settled DAC± within the step operator oracle's 1e-9 V, and the same
+    /// error where a defect does not simulate.
+    #[test]
+    fn folded_sweeps_match_stepped_traces_on_every_defect() {
+        let base = adc();
+        let mut worst = 0.0f64;
+        let mut defects = 0;
+        for (component, info) in base.components().iter().enumerate() {
+            for &kind in info.kind.applicable_defects() {
+                let mut a = base.clone();
+                let site = DefectSite { component, kind };
+                a.inject(site);
+                match (
+                    a.try_symbist_observations(0.2),
+                    a.try_invariance3_trace(0.2),
+                ) {
+                    (Ok(folded), Ok(stepped)) => {
+                        assert_eq!(stepped.settled.len(), 32);
+                        for (o, (p, n)) in folded.iter().zip(&stepped.settled) {
+                            worst = worst.max((o.dac_plus - p).abs());
+                            worst = worst.max((o.dac_minus - n).abs());
+                        }
+                    }
+                    (folded, stepped) => {
+                        assert_eq!(folded.err(), stepped.err(), "{site:?}");
+                    }
+                }
+                defects += 1;
+            }
+        }
+        assert_eq!(defects, 3922);
+        assert!(worst <= 1e-9, "largest |folded - stepped| {worst:e} V");
+        eprintln!("largest |folded - stepped| DAC±: {worst:e} V");
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //! glitches visible in the paper's Fig. 5, and defects (stuck switches,
 //! floating bottom plates, shorted capacitors) need no special-case
 //! algebra. Within a switch phase a side's step is a fixed affine map over
-//! its capacitor voltages, so [`LinearTransient`] factors it once per phase
-//! and advances a code with small mat-vecs; `TransientSim` on the same side
-//! circuits is the tests' oracle.
+//! its capacitor voltages, so [`LinearTransient`] factors it once per phase.
+//! A session that does not record waveforms advances each side one whole
+//! run of steps per call, folded into one affine map; a recording session
+//! steps one time step at a time. The defect-free array shares its phase
+//! maps and their folds across clones ([`StepMaps`]). `TransientSim` on the
+//! same side circuits is the tests' oracle.
+
+use std::sync::{Arc, OnceLock};
 
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId, SourceWave};
-use symbist_circuit::transient::LinearTransient;
+use symbist_circuit::transient::{LinearTransient, StepMaps};
 use symbist_circuit::waveform::Trace;
 
 use crate::config::AdcConfig;
@@ -95,7 +100,17 @@ pub struct ScArray {
     cfg: AdcConfig,
     defect: Option<(usize, DefectKind)>,
     mismatch: ScMismatch,
+    /// The step maps of the defect-free array at this mismatch, built on
+    /// first use and shared by every clone (`None` inside when they do not
+    /// build). A session of a defect-free instance uses them; one carrying
+    /// a defect builds its own. [`ScArray::set_mismatch`] starts a fresh
+    /// one.
+    maps: Arc<OnceLock<Option<ArrayMaps>>>,
 }
+
+/// Per side (P, N), the sampling- and conversion-phase step maps, with the
+/// folds a session that does not record uses.
+pub(crate) type ArrayMaps = [[Arc<StepMaps>; 2]; 2];
 
 /// How a switch site behaves after defect mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,6 +151,11 @@ impl SideCircuit {
         }
     }
 
+    fn set_levels(&mut self, lv: SideLevels) {
+        self.set_source(self.src_m, lv.m);
+        self.set_source(self.src_l, lv.l);
+    }
+
     fn set_phase(&mut self, sampling: bool) {
         let assign = [
             (self.sw_sample_main, sampling),
@@ -159,6 +179,7 @@ impl ScArray {
             cfg: cfg.clone(),
             defect: None,
             mismatch: ScMismatch::default(),
+            maps: Arc::default(),
         }
     }
 
@@ -187,6 +208,8 @@ impl ScArray {
         components
     }
 
+    /// Sets or clears the defect. The shared defect-free maps stay: they
+    /// depend on the mismatch only.
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
         self.defect = defect;
     }
@@ -194,6 +217,39 @@ impl ScArray {
     /// Sets the mismatch sample.
     pub fn set_mismatch(&mut self, m: ScMismatch) {
         self.mismatch = m;
+        self.maps = Arc::default();
+    }
+
+    /// The solver time step: [`STEPS_PER_CYCLE`] per clock cycle.
+    fn dt(&self) -> f64 {
+        self.cfg.clock_period() / STEPS_PER_CYCLE as f64
+    }
+
+    /// The defect-free array's step maps, built on first use. Sources are
+    /// not in the maps, so the sides are built with any input.
+    fn shared_maps(&self) -> Option<&ArrayMaps> {
+        self.maps
+            .get_or_init(|| {
+                let mut healthy = self.clone();
+                healthy.defect = None;
+                let side = |side| -> Result<[Arc<StepMaps>; 2], CircuitError> {
+                    let mut circuit = healthy.build_side(side, 0.0, 0.0);
+                    let mut phase = |sampling: bool, runs: &[usize]| {
+                        circuit.set_phase(sampling);
+                        let mut maps = StepMaps::build(&circuit.nl, healthy.dt())?;
+                        for &n in runs {
+                            maps.prepare(n);
+                        }
+                        Ok::<_, CircuitError>(Arc::new(maps))
+                    };
+                    Ok([
+                        phase(true, &[STEPS_PER_CYCLE])?,
+                        phase(false, &[STEPS_PER_CYCLE, STEPS_PER_CYCLE - 1])?,
+                    ])
+                };
+                Some([side(Side::P).ok()?, side(Side::N).ok()?])
+            })
+            .as_ref()
     }
 
     fn defect_for(&self, side: Side, role: Role) -> Option<DefectKind> {
@@ -359,9 +415,20 @@ impl ScArray {
         vcm: f64,
         record: bool,
     ) -> Result<ScSession, CircuitError> {
-        let tclk = self.cfg.clock_period();
-        let dt = tclk / STEPS_PER_CYCLE as f64;
+        let maps = self.defect.is_none().then(|| self.shared_maps()).flatten();
+        self.begin_with(in_p, in_n, vcm, record, maps)
+    }
 
+    /// [`ScArray::begin`] with the step maps the sides may reuse.
+    fn begin_with(
+        &self,
+        in_p: f64,
+        in_n: f64,
+        vcm: f64,
+        record: bool,
+        maps: Option<&ArrayMaps>,
+    ) -> Result<ScSession, CircuitError> {
+        let dt = self.dt();
         let circuits = [Side::P, Side::N].map(|side| {
             let vin = match side {
                 Side::P => in_p,
@@ -371,10 +438,15 @@ impl ScArray {
             circuit.set_phase(true); // sampling
             circuit
         });
-        let sims = [
+        let mut sims = [
             LinearTransient::new(&circuits[0].nl, dt)?,
             LinearTransient::new(&circuits[1].nl, dt)?,
         ];
+        for (sim, phases) in sims.iter_mut().zip(maps.into_iter().flatten()) {
+            for phase in phases {
+                sim.reuse(Arc::clone(phase));
+            }
+        }
 
         let mut session = ScSession {
             circuits,
@@ -384,7 +456,7 @@ impl ScArray {
                 dac_n: Trace::new("dac_n"),
                 sum: Trace::new("dac_sum"),
                 settled: Vec::new(),
-                cycle_time: tclk,
+                cycle_time: self.cfg.clock_period(),
             },
             record,
             sampling: true,
@@ -448,6 +520,14 @@ impl ScArray {
     }
 }
 
+#[cfg(test)]
+impl ScArray {
+    /// The store of the shared maps, for the sharing tests.
+    pub(crate) fn maps_store(&self) -> &Arc<OnceLock<Option<ArrayMaps>>> {
+        &self.maps
+    }
+}
+
 /// An in-progress SC-array run: sampled input held on the caps, ready to
 /// apply conversion codes one clock cycle at a time.
 #[derive(Debug)]
@@ -468,6 +548,12 @@ impl ScSession {
     /// this is what produces the switching glitches on the `DAC+ + DAC−`
     /// sum that the paper's Fig. 5 shows (and that the clocked checker
     /// deliberately ignores by sampling at settled instants).
+    ///
+    /// A recording session steps both sides one time step at a time. One
+    /// that does not record runs each side's cycle in folded runs: the P
+    /// side 48 steps at the new levels, the N side one step at the old
+    /// levels, then 47 at the new ones. The sides are independent linear
+    /// systems, so this order changes no value.
     pub fn apply_code(
         &mut self,
         lv_p: SideLevels,
@@ -479,14 +565,21 @@ impl ScSession {
             }
             self.sampling = false;
         }
+        let [p, n] = &mut self.circuits;
         // P side switches first...
-        self.circuits[0].set_source(self.circuits[0].src_m, lv_p.m);
-        self.circuits[0].set_source(self.circuits[0].src_l, lv_p.l);
-        self.run_steps(1)?;
-        // ...then the N side, one step of skew later.
-        self.circuits[1].set_source(self.circuits[1].src_m, lv_n.m);
-        self.circuits[1].set_source(self.circuits[1].src_l, lv_n.l);
-        self.run_steps(STEPS_PER_CYCLE - 1)?;
+        p.set_levels(lv_p);
+        if self.record {
+            self.record_steps(1)?;
+            // ...then the N side, one step of skew later.
+            self.circuits[1].set_levels(lv_n);
+            self.record_steps(STEPS_PER_CYCLE - 1)?;
+        } else {
+            let [sim_p, sim_n] = &mut self.sims;
+            sim_p.advance(&p.nl, STEPS_PER_CYCLE)?;
+            sim_n.advance(&n.nl, 1)?;
+            n.set_levels(lv_n);
+            sim_n.advance(&n.nl, STEPS_PER_CYCLE - 1)?;
+        }
         let out = (
             self.sims[0].voltage(self.circuits[0].top),
             self.sims[1].voltage(self.circuits[1].top),
@@ -496,22 +589,27 @@ impl ScSession {
     }
 
     fn run_cycle(&mut self) -> Result<(), CircuitError> {
-        self.run_steps(STEPS_PER_CYCLE)
+        if self.record {
+            return self.record_steps(STEPS_PER_CYCLE);
+        }
+        for (sim, circuit) in self.sims.iter_mut().zip(&self.circuits) {
+            sim.advance(&circuit.nl, STEPS_PER_CYCLE)?;
+        }
+        Ok(())
     }
 
-    fn run_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
+    /// Steps both sides one time step at a time, recording the waveforms.
+    fn record_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
         for _ in 0..steps {
             for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
                 sim.step(&circuit.nl)?;
             }
-            if self.record {
-                let vp = self.sims[0].voltage(self.circuits[0].top);
-                let vn = self.sims[1].voltage(self.circuits[1].top);
-                let t = self.sims[0].time();
-                self.traces.dac_p.push(t, vp);
-                self.traces.dac_n.push(t, vn);
-                self.traces.sum.push(t, vp + vn);
-            }
+            let vp = self.sims[0].voltage(self.circuits[0].top);
+            let vn = self.sims[1].voltage(self.circuits[1].top);
+            let t = self.sims[0].time();
+            self.traces.dac_p.push(t, vp);
+            self.traces.dac_n.push(t, vn);
+            self.traces.sum.push(t, vp + vn);
         }
         Ok(())
     }
@@ -833,6 +931,55 @@ mod tests {
                 assert_close(name, got.values(), want.values());
             }
         }
+    }
+
+    /// The shared maps of a mismatched array, against the maps a clone
+    /// builds itself from its own side circuits (at other inputs, with the
+    /// same folds): equal, fold for fold. Sessions that reuse them give
+    /// the values of sessions that build their own, bit for bit.
+    #[test]
+    fn shared_maps_equal_the_maps_a_clone_builds_itself() -> Result<(), CircuitError> {
+        let mut sc = ScArray::new(&cfg());
+        sc.set_mismatch(ScMismatch {
+            cm_p: 0.004,
+            cl_p: -0.006,
+            cm_n: -0.002,
+            cl_n: 0.005,
+        });
+        let clone = sc.clone();
+        let shared = clone.shared_maps().expect("the defect-free array builds");
+        assert!(std::ptr::eq(shared, sc.shared_maps().unwrap()));
+        for (side, phases) in [Side::P, Side::N].into_iter().zip(shared) {
+            let mut circuit = clone.build_side(side, 0.75, 0.6);
+            for ((sampling, runs), maps) in [(true, 1), (false, 2)].into_iter().zip(phases) {
+                circuit.set_phase(sampling);
+                let mut own = StepMaps::build(&circuit.nl, clone.dt())?;
+                for n in [STEPS_PER_CYCLE, STEPS_PER_CYCLE - 1]
+                    .into_iter()
+                    .take(runs)
+                {
+                    own.prepare(n);
+                }
+                assert_eq!(**maps, own, "{side:?} side, sampling {sampling}");
+            }
+        }
+
+        let (lp, ln) = counter_levels(1.2, 0..32);
+        let run = |maps: Option<&ArrayMaps>| -> Result<Vec<(f64, f64)>, CircuitError> {
+            let mut session = clone.begin_with(0.75, 0.45, 0.6, false, maps)?;
+            for (p, n) in lp.iter().zip(&ln) {
+                session.apply_code(*p, *n)?;
+            }
+            Ok(session.finish().settled)
+        };
+        let bits = |pairs: Vec<(f64, f64)>| -> Vec<[u64; 2]> {
+            pairs
+                .into_iter()
+                .map(|(p, n)| [p.to_bits(), n.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(run(Some(shared))?), bits(run(None)?));
+        Ok(())
     }
 
     #[test]

@@ -55,8 +55,10 @@ const SOURCE_STEPS: usize = 20;
 /// stalling a worker thread indefinitely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
-    /// Absolute wall-clock deadline. Checked once per Newton iteration, so
-    /// enforcement granularity is one matrix assembly + factorization.
+    /// Absolute wall-clock deadline. Checked once per Newton iteration and
+    /// once per [`crate::transient::LinearTransient::advance`] call, however
+    /// many steps that call folds, so enforcement granularity is one matrix
+    /// assembly + factorization, or one folded run of transient steps.
     pub deadline: Option<std::time::Instant>,
     /// Total Newton iterations allowed across every solve on the thread.
     /// Unlike the deadline this is deterministic: the same circuit and
@@ -108,9 +110,18 @@ pub fn set_thread_solve_budget(budget: Option<SolveBudget>) -> Option<SolveBudge
 
 /// Charges one Newton iteration against the thread budget, if any.
 pub(crate) fn charge_newton_iteration() -> Result<(), CircuitError> {
+    charge_newton_iterations(1).map(drop)
+}
+
+/// Charges `n` Newton iterations against the thread budget at once, if
+/// there is a budget: `Ok(true)` once charged. When fewer than `n` but at
+/// least one remain it charges nothing and returns `Ok(false)`, so the
+/// caller can spend them one at a time and run out on the same iteration
+/// as `n` single charges would. The deadline is read once per call.
+pub(crate) fn charge_newton_iterations(n: u64) -> Result<bool, CircuitError> {
     THREAD_BUDGET.with(|b| {
         let Some(mut budget) = b.get() else {
-            return Ok(());
+            return Ok(true);
         };
         if let Some(deadline) = budget.deadline {
             if std::time::Instant::now() >= deadline {
@@ -125,10 +136,13 @@ pub(crate) fn charge_newton_iteration() -> Result<(), CircuitError> {
                     resource: "newton-iterations",
                 });
             }
-            budget.newton_iters = Some(iters - 1);
+            if iters < n {
+                return Ok(false);
+            }
+            budget.newton_iters = Some(iters - n);
             b.set(Some(budget));
         }
-        Ok(())
+        Ok(true)
     })
 }
 

@@ -20,7 +20,8 @@
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
 //! * [`transient`] — backward-Euler integration; the netlist is borrowed
 //!   per step so digital controllers can flip switches, which is how the
-//!   SAR conversion loop drives the analog core.
+//!   SAR conversion loop drives the analog core. Linear decks step through
+//!   per-phase step maps and fold runs of steps into one affine map.
 //! * [`mc`] — process-variation engine used to calibrate SymBIST's
 //!   `δ = k·σ` comparison windows.
 //! * [`rng`] — deterministic xoshiro256++; all experiments are reproducible
@@ -70,5 +71,5 @@ pub use error::CircuitError;
 pub use netlist::{device_param_issue, Device, DeviceId, MosPolarity, Netlist, NodeId, SourceWave};
 pub use rng::Rng;
 pub use topology::{DisjointSet, Topology};
-pub use transient::{LinearTransient, TransientOptions, TransientSim};
+pub use transient::{LinearTransient, StepMaps, TransientOptions, TransientSim};
 pub use waveform::{Trace, TraceSet};

@@ -169,10 +169,32 @@ impl Matrix {
     ///
     /// Panics if the matrix is not square.
     pub fn lu(&self) -> Result<Lu, SingularMatrixError> {
+        let mut lu = Lu::default();
+        self.lu_into(&mut lu)?;
+        Ok(lu)
+    }
+
+    /// [`Matrix::lu`] into an existing factorization, reusing its buffers,
+    /// so a solver that refactors per solve allocates nothing. On error
+    /// `out` holds a partial elimination and must not be used to solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] as [`Matrix::lu`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub(crate) fn lu_into(&self, out: &mut Lu) -> Result<(), SingularMatrixError> {
         assert_eq!(self.rows, self.cols, "LU requires a square matrix");
         let n = self.rows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        out.n = n;
+        let lu = &mut out.lu;
+        lu.clear();
+        lu.extend_from_slice(&self.data);
+        let perm = &mut out.perm;
+        perm.clear();
+        perm.extend(0..n);
         let scale = self
             .data
             .iter()
@@ -211,7 +233,7 @@ impl Matrix {
                 }
             }
         }
-        Ok(Lu { n, lu, perm })
+        Ok(())
     }
 
     /// Convenience: factor and solve `A x = b` in one call.
@@ -250,8 +272,9 @@ impl fmt::Display for Matrix {
 
 /// An LU factorization with row permutation, reusable across multiple
 /// right-hand sides (the transient solver refactors only when the topology
-/// or a companion conductance changes).
-#[derive(Debug, Clone)]
+/// or a companion conductance changes). The default value is the empty
+/// factorization, which the solvers refactor into.
+#[derive(Debug, Clone, Default)]
 pub struct Lu {
     n: usize,
     /// Combined L (strict lower, unit diagonal implicit) and U (upper).
@@ -272,27 +295,38 @@ impl Lu {
     ///
     /// Panics if `b.len()` does not match the factored dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// [`Lu::solve`] into `x`, allocating nothing: the forward pass leaves
+    /// the intermediate `y` in `x` and the backward pass overwrites it in
+    /// place, with the same operations in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `x` does not match the factored dimension.
+    pub(crate) fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        assert_eq!(x.len(), self.n, "solution dimension mismatch");
         let n = self.n;
         // Forward substitution with permutation applied.
-        let mut y = vec![0.0; n];
         for i in 0..n {
             let mut sum = b[self.perm[i]];
-            for (j, yj) in y.iter().enumerate().take(i) {
+            for (j, yj) in x.iter().enumerate().take(i) {
                 sum -= self.lu[i * n + j] * yj;
             }
-            y[i] = sum;
+            x[i] = sum;
         }
         // Back substitution.
-        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
-            let mut sum = y[i];
+            let mut sum = x[i];
             for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
                 sum -= self.lu[i * n + j] * xj;
             }
             x[i] = sum / self.lu[i * n + i];
         }
-        x
     }
 
     /// Determinant of the original matrix (product of pivots times
@@ -377,6 +411,34 @@ mod tests {
             for (xs, xt) in x.iter().zip(&x_true) {
                 assert!((xs - xt).abs() < 1e-8, "n={n}: {xs} vs {xt}");
             }
+        }
+    }
+
+    /// Factoring and solving into used buffers (another size, stale
+    /// values) gives a fresh factorization's solution bit for bit.
+    #[test]
+    fn reused_buffers_match_fresh_solves() {
+        let mut rng = Rng::seed_from_u64(9);
+        let mut lu = Lu::default();
+        let mut x = Vec::new();
+        for n in [5usize, 2, 7, 7, 1] {
+            let mut a = Matrix::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    a.set(r, c, rng.uniform(-1.0, 1.0));
+                }
+                a.add(r, r, 2.0);
+            }
+            let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            a.lu_into(&mut lu).unwrap();
+            x.resize(n, f64::NAN);
+            lu.solve_into(&b, &mut x);
+            let fresh = a.solve(&b).unwrap();
+            assert_eq!(
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "n = {n}"
+            );
         }
     }
 

@@ -9,7 +9,7 @@
 //! (index assignment) is computed once per netlist. [`MnaEngine`] solves
 //! every system by dense LU with partial pivoting.
 
-use crate::matrix::{Matrix, SingularMatrixError};
+use crate::matrix::{Lu, Matrix, SingularMatrixError};
 use crate::netlist::{Device, DeviceId, MosPolarity, Netlist, NodeId};
 
 /// Thermal voltage at room temperature, kT/q at 300 K.
@@ -362,6 +362,9 @@ impl Assembler {
 #[derive(Debug)]
 pub(crate) struct MnaEngine {
     asm: Assembler,
+    /// The factorization of the last assembled matrix, kept so each solve
+    /// refactors into the same buffers.
+    lu: Lu,
     /// Solution of the last solve; [`MnaEngine::assemble_and_solve`] hands
     /// out a borrow of it.
     solution: Vec<f64>,
@@ -410,6 +413,7 @@ impl MnaEngine {
         let solution = vec![0.0; asm.layout.dim];
         Self {
             asm,
+            lu: Lu::default(),
             solution,
             stats: EngineStats::new(),
         }
@@ -426,7 +430,8 @@ impl MnaEngine {
         &self.asm.layout
     }
 
-    /// Assembles and solves one MNA system.
+    /// Assembles and solves one MNA system, allocating nothing: the LU
+    /// and the solution reuse the engine's buffers.
     ///
     /// # Errors
     ///
@@ -438,7 +443,8 @@ impl MnaEngine {
         ctx: &AssemblyCtx<'_>,
     ) -> Result<&[f64], SingularMatrixError> {
         self.asm.assemble(netlist, ctx);
-        self.solution = self.asm.matrix.solve(&self.asm.rhs)?;
+        self.asm.matrix.lu_into(&mut self.lu)?;
+        self.lu.solve_into(&self.asm.rhs, &mut self.solution);
         self.stats.solves += 1;
         Ok(&self.solution)
     }

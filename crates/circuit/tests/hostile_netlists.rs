@@ -5,7 +5,8 @@
 //! mutated with dropped, duplicated and swapped tokens, renamed nodes,
 //! extreme or zero magnitudes and duplicated cards. Every mutant goes
 //! through `parse_netlist`, a DC solve, a few `TransientSim` steps and, on
-//! linear parses, a few `LinearTransient` steps. A mutant may fail, but
+//! linear parses, a few `LinearTransient` steps and one folded run of
+//! steps (`LinearTransient::advance`). A mutant may fail, but
 //! only as a `ParseError` or a `CircuitError`: a panic anywhere fails the
 //! test with the seed and the deck that caused it.
 #![allow(clippy::unwrap_used)] // integration tests assert by panicking
@@ -91,6 +92,9 @@ const MUTANTS: u64 = 1000;
 
 /// Transient steps taken per mutant on each engine.
 const STEPS: usize = 4;
+
+/// Steps of the folded `LinearTransient` run per linear mutant.
+const FOLDED_STEPS: usize = 16;
 
 type Deck = Vec<Vec<String>>;
 
@@ -223,6 +227,7 @@ fn exercise(deck: &str, tally: &mut Tally) {
             for _ in 0..STEPS {
                 fast.step(nl)?;
             }
+            fast.advance(nl, FOLDED_STEPS)?;
         }
         Ok(())
     });

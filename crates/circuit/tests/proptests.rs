@@ -302,8 +302,23 @@ impl LinearDeck {
     }
 }
 
+/// Whether a source of the deck changes value from step to step, which
+/// makes `LinearTransient::advance` step one at a time.
+fn has_varying_source(nl: &Netlist) -> bool {
+    nl.iter().any(|(_, d)| {
+        matches!(
+            d,
+            Device::VSource { wave, .. } | Device::ISource { wave, .. }
+                if !matches!(wave, SourceWave::Dc(_))
+        )
+    })
+}
+
 /// The step operator tracks backward-Euler `TransientSim` at every node
-/// and every step, through switch flips and source changes.
+/// and every step, through switch flips and source changes; folded runs of
+/// 1–64 steps track it at every run's end. A deck that has kept a varying
+/// source since its start steps one at a time inside `advance`, so there
+/// the folded sim equals the stepped one bit for bit.
 #[test]
 fn linear_transient_matches_transient_sim() {
     for seed in 0u64..200 {
@@ -329,20 +344,49 @@ fn linear_transient_matches_transient_sim() {
             fast.step(&deck.nl).unwrap();
         }
         check(&oracle, &fast, 60);
+
+        let mut oracle = deck.oracle().unwrap();
+        let mut stepped = LinearTransient::new(&deck.nl, deck.dt).unwrap();
+        let mut folded = LinearTransient::new(&deck.nl, deck.dt).unwrap();
+        let mut stepwise = has_varying_source(&deck.nl);
+        let mut step = 0;
+        for _ in 0..8 {
+            let n = 1 + rng.below(64) as usize;
+            for _ in 0..n {
+                oracle.step(&deck.nl).unwrap();
+                stepped.step(&deck.nl).unwrap();
+            }
+            folded.advance(&deck.nl, n).unwrap();
+            step += n;
+            check(&oracle, &folded, step);
+            if stepwise {
+                for &node in &nodes {
+                    assert_eq!(
+                        folded.voltage(node).to_bits(),
+                        stepped.voltage(node).to_bits(),
+                        "seed {seed} step {step} node {node}: varying source"
+                    );
+                }
+            }
+            deck.perturb(&mut rng);
+            stepwise &= has_varying_source(&deck.nl);
+        }
     }
 }
 
 /// A Newton-iteration budget runs out at the same step in both engines:
 /// the operator charges one iteration per step, as a linear Newton step
-/// does.
+/// does. A folded run that needs more iterations than are left stops on
+/// the step where single steps would, with the same error.
 #[test]
 fn linear_transient_exhausts_budget_like_transient_sim() {
-    /// Steps completed before the budget ran out (`None`: at construction).
-    fn steps_until_exhausted<S>(
+    /// The sim time when the budget ran out (`None`: at construction).
+    fn time_when_exhausted<S>(
         iters: u64,
         deck: &LinearDeck,
         new: impl FnOnce() -> Result<S, CircuitError>,
-        mut step: impl FnMut(&mut S, &Netlist) -> Result<(), CircuitError>,
+        mut run: impl FnMut(&mut S, &Netlist) -> Result<(), CircuitError>,
+        time: impl Fn(&S) -> f64,
     ) -> Option<u64> {
         set_thread_solve_budget(Some(SolveBudget {
             deadline: None,
@@ -353,13 +397,14 @@ fn linear_transient_exhausts_budget_like_transient_sim() {
                 Ok(sim) => sim,
                 Err(e) => return (None, e),
             };
-            // Every step charges an iteration, so `iters` bounds the run.
-            for n in 0..=iters {
-                if let Err(e) = step(&mut sim, &deck.nl) {
-                    return (Some(n), e);
+            // Every run charges at least one iteration, so `iters` bounds
+            // the number of runs.
+            for _ in 0..=iters {
+                if let Err(e) = run(&mut sim, &deck.nl) {
+                    return (Some(time(&sim).to_bits()), e);
                 }
             }
-            panic!("{iters} Newton iterations outlasted {} steps", iters + 1)
+            panic!("{iters} Newton iterations outlasted {} runs", iters + 1)
         })();
         set_thread_solve_budget(None);
         let (at, err) = outcome;
@@ -376,14 +421,36 @@ fn linear_transient_exhausts_budget_like_transient_sim() {
         let mut rng = Rng::seed_from_u64(seed);
         let deck = LinearDeck::random(&mut rng);
         let iters = rng.below(40);
-        let oracle = steps_until_exhausted(iters, &deck, || deck.oracle(), TransientSim::step);
-        let fast = steps_until_exhausted(
+        let oracle = time_when_exhausted(
             iters,
             &deck,
-            || LinearTransient::new(&deck.nl, deck.dt),
+            || deck.oracle(),
+            TransientSim::step,
+            TransientSim::time,
+        );
+        let linear = || LinearTransient::new(&deck.nl, deck.dt);
+        let fast = time_when_exhausted(
+            iters,
+            &deck,
+            linear,
             LinearTransient::step,
+            LinearTransient::time,
         );
         assert_eq!(fast, oracle, "seed {seed}, budget {iters}");
+        // Short runs fold until fewer iterations are left than a run
+        // needs; a long run needs more than the whole budget.
+        let short = 2 + rng.below(8) as usize;
+        let long = iters as usize + 1 + rng.below(24) as usize;
+        for n in [short, long] {
+            let folded = time_when_exhausted(
+                iters,
+                &deck,
+                linear,
+                |sim, nl| sim.advance(nl, n),
+                LinearTransient::time,
+            );
+            assert_eq!(folded, oracle, "seed {seed}, budget {iters}, runs of {n}");
+        }
     }
 }
 

@@ -75,6 +75,28 @@ impl Calibration {
         seed: u64,
         threads: usize,
     ) -> Self {
+        // Every sample starts from one nominal instance: `SarAdc::new`
+        // solves the nominal bandgap and builds the component catalog, the
+        // same for every sample.
+        let nominal = SarAdc::new(cfg.clone());
+        Self::run_on(cfg, stimulus, samples, k, seed, threads, |rng| {
+            let mut adc = nominal.clone();
+            adc.apply_mismatch(&AdcMismatch::sample(rng));
+            adc
+        })
+    }
+
+    /// The calibration over the instances `instance` draws, one per sample
+    /// from the sample's forked RNG stream.
+    fn run_on(
+        cfg: &AdcConfig,
+        stimulus: &StimulusSpec,
+        samples: usize,
+        k: f64,
+        seed: u64,
+        threads: usize,
+        instance: impl Fn(&mut Rng) -> SarAdc + Sync,
+    ) -> Self {
         assert!(samples >= 2, "need at least 2 MC samples");
         assert!(k > 0.0, "k must be positive");
         let cal_start = symbist_obs::enabled().then(std::time::Instant::now);
@@ -87,8 +109,7 @@ impl Calibration {
         let mc_span = symbist_obs::span!("calibration_mc_samples");
         let per_sample: Vec<[Vec<f64>; 6]> =
             run_parallel_seeded(samples, &mut rng, threads, |_, sample_rng| {
-                let mut adc = SarAdc::new(cfg.clone());
-                adc.apply_mismatch(&AdcMismatch::sample(sample_rng));
+                let adc = instance(sample_rng);
                 let mut devs: [Vec<f64>; 6] = Default::default();
                 let observations = adc
                     .try_symbist_observations(stimulus.din)
@@ -239,6 +260,24 @@ mod tests {
             assert_eq!(seq.deltas, par.deltas, "{threads} threads changed deltas");
             assert_eq!(seq.means, par.means, "{threads} threads changed means");
         }
+    }
+
+    /// Cloning one nominal instance per sample gives the calibration of
+    /// building every sample with `SarAdc::new`, bit for bit.
+    #[test]
+    fn one_nominal_clone_per_sample_matches_a_new_adc_per_sample() {
+        let cfg = AdcConfig::default();
+        let stim = StimulusSpec::default();
+        let cloned = Calibration::run_with_threads(&cfg, &stim, 6, 5.0, 42, 2);
+        let built = Calibration::run_on(&cfg, &stim, 6, 5.0, 42, 2, |rng| {
+            let mut adc = SarAdc::new(cfg.clone());
+            adc.apply_mismatch(&AdcMismatch::sample(rng));
+            adc
+        });
+        let bits = |v: [f64; 6]| v.map(f64::to_bits);
+        assert_eq!(bits(cloned.means), bits(built.means));
+        assert_eq!(bits(cloned.sigmas), bits(built.sigmas));
+        assert_eq!(bits(cloned.deltas), bits(built.deltas));
     }
 
     #[test]

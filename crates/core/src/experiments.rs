@@ -290,9 +290,10 @@ pub fn yield_sweep(xc: &ExperimentConfig, ks: &[f64], instances: usize) -> Vec<Y
     let base_cal = Calibration::run(&xc.adc, &xc.stimulus, xc.calibration_samples, xc.k, xc.seed);
     // Fresh instances, *different* seed stream from calibration.
     let mut rng = Rng::seed_from_u64(xc.seed ^ 0x11E1D);
+    let nominal = SarAdc::new(xc.adc.clone());
     let duts: Vec<SarAdc> = (0..instances)
         .map(|_| {
-            let mut adc = SarAdc::new(xc.adc.clone());
+            let mut adc = nominal.clone();
             adc.apply_mismatch(&AdcMismatch::sample(&mut rng));
             adc
         })
