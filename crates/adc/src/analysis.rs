@@ -90,11 +90,6 @@ impl AdcStaticModel {
     pub fn bound_count(&self) -> usize {
         self.bindings.iter().flatten().count()
     }
-
-    /// Number of catalog components left unmodeled (behavioral).
-    pub fn unmodeled_count(&self) -> usize {
-        self.bindings.len() - self.bound_count()
-    }
 }
 
 impl SarAdc {

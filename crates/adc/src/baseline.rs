@@ -10,7 +10,6 @@
 use symbist_circuit::dc::DcSolver;
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::{MosPolarity, Netlist};
-use symbist_circuit::rng::Rng;
 
 use crate::bandgap::Bandgap;
 use crate::builder::{emit_capacitor, emit_mosfet, emit_resistor};
@@ -268,11 +267,6 @@ impl Faultable for PorIp {
     fn injected(&self) -> Option<DefectSite> {
         self.injected
     }
-}
-
-/// Convenience: a deterministic Rng seed namespace for baseline campaigns.
-pub fn baseline_rng(seed: u64) -> Rng {
-    Rng::seed_from_u64(seed ^ 0xBA5E_11E5)
 }
 
 #[cfg(test)]

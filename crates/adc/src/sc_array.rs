@@ -17,11 +17,12 @@
 //! floating bottom plates, shorted capacitors) need no special-case
 //! algebra. Within a switch phase a side's step is a fixed affine map over
 //! its capacitor voltages, so [`LinearTransient`] factors it once per phase.
-//! A session that does not record waveforms advances each side one whole
-//! run of steps per call, folded into one affine map; a recording session
-//! steps one time step at a time. The defect-free array shares its phase
-//! maps and their folds across clones ([`StepMaps`]). `TransientSim` on the
-//! same side circuits is the tests' oracle.
+//! A session ([`ScSession`]) writes the clock cycle once, side by side;
+//! each side's run of steps in it is folded into one affine map, or, when
+//! the session records waveforms, stepped one time step at a time. The
+//! defect-free array shares its phase maps and their folds across clones
+//! ([`StepMaps`]). `TransientSim` on the same side circuits is the tests'
+//! oracle.
 
 use std::sync::{Arc, OnceLock};
 
@@ -459,64 +460,12 @@ impl ScArray {
                 cycle_time: self.cfg.clock_period(),
             },
             record,
-            sampling: true,
         };
-        session.run_cycle()?;
-        Ok(session)
-    }
-
-    /// Runs the sample-then-convert sequence on both sides and returns the
-    /// settled `(DAC+, DAC−)` per code.
-    ///
-    /// `levels_p[i]`/`levels_n[i]` give the sub-DAC outputs for code `i`;
-    /// each code is held for one clock cycle, exactly like the SymBIST
-    /// counter stimulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level slices differ in length or are empty.
-    pub fn run_codes(
-        &self,
-        in_p: f64,
-        in_n: f64,
-        vcm: f64,
-        levels_p: &[SideLevels],
-        levels_n: &[SideLevels],
-    ) -> Result<Vec<(f64, f64)>, CircuitError> {
-        Ok(self
-            .run_sequence(in_p, in_n, vcm, levels_p, levels_n, false)?
-            .settled)
-    }
-
-    /// Like [`ScArray::run_codes`] but also returns full waveforms of
-    /// DAC+, DAC− and their sum — the paper's Fig. 5 signal.
-    pub fn trace_codes(
-        &self,
-        in_p: f64,
-        in_n: f64,
-        vcm: f64,
-        levels_p: &[SideLevels],
-        levels_n: &[SideLevels],
-    ) -> Result<ScTraces, CircuitError> {
-        self.run_sequence(in_p, in_n, vcm, levels_p, levels_n, true)
-    }
-
-    fn run_sequence(
-        &self,
-        in_p: f64,
-        in_n: f64,
-        vcm: f64,
-        levels_p: &[SideLevels],
-        levels_n: &[SideLevels],
-        record: bool,
-    ) -> Result<ScTraces, CircuitError> {
-        assert_eq!(levels_p.len(), levels_n.len(), "side code counts differ");
-        assert!(!levels_p.is_empty(), "need at least one code");
-        let mut session = self.begin(in_p, in_n, vcm, record)?;
-        for (lp, ln) in levels_p.iter().zip(levels_n) {
-            session.apply_code(*lp, *ln)?;
+        session.cycle(None)?;
+        for circuit in &mut session.circuits {
+            circuit.set_phase(false); // conversion
         }
-        Ok(session.finish())
+        Ok(session)
     }
 }
 
@@ -536,7 +485,6 @@ pub struct ScSession {
     sims: [LinearTransient; 2],
     traces: ScTraces,
     record: bool,
-    sampling: bool,
 }
 
 impl ScSession {
@@ -548,76 +496,70 @@ impl ScSession {
     /// this is what produces the switching glitches on the `DAC+ + DAC−`
     /// sum that the paper's Fig. 5 shows (and that the clocked checker
     /// deliberately ignores by sampling at settled instants).
-    ///
-    /// A recording session steps both sides one time step at a time. One
-    /// that does not record runs each side's cycle in folded runs: the P
-    /// side 48 steps at the new levels, the N side one step at the old
-    /// levels, then 47 at the new ones. The sides are independent linear
-    /// systems, so this order changes no value.
     pub fn apply_code(
         &mut self,
         lv_p: SideLevels,
         lv_n: SideLevels,
     ) -> Result<(f64, f64), CircuitError> {
-        if self.sampling {
-            for circuit in self.circuits.iter_mut() {
-                circuit.set_phase(false);
-            }
-            self.sampling = false;
-        }
-        let [p, n] = &mut self.circuits;
-        // P side switches first...
-        p.set_levels(lv_p);
-        if self.record {
-            self.record_steps(1)?;
-            // ...then the N side, one step of skew later.
-            self.circuits[1].set_levels(lv_n);
-            self.record_steps(STEPS_PER_CYCLE - 1)?;
-        } else {
-            let [sim_p, sim_n] = &mut self.sims;
-            sim_p.advance(&p.nl, STEPS_PER_CYCLE)?;
-            sim_n.advance(&n.nl, 1)?;
-            n.set_levels(lv_n);
-            sim_n.advance(&n.nl, STEPS_PER_CYCLE - 1)?;
-        }
-        let out = (
-            self.sims[0].voltage(self.circuits[0].top),
-            self.sims[1].voltage(self.circuits[1].top),
-        );
+        let out = self.cycle(Some([lv_p, lv_n]))?;
         self.traces.settled.push(out);
         Ok(out)
     }
 
-    fn run_cycle(&mut self) -> Result<(), CircuitError> {
-        if self.record {
-            return self.record_steps(STEPS_PER_CYCLE);
-        }
-        for (sim, circuit) in self.sims.iter_mut().zip(&self.circuits) {
-            sim.advance(&circuit.nl, STEPS_PER_CYCLE)?;
-        }
-        Ok(())
-    }
-
-    /// Steps both sides one time step at a time, recording the waveforms.
-    fn record_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
-        for _ in 0..steps {
-            for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
-                sim.step(&circuit.nl)?;
+    /// One clock cycle, side by side: the P side runs 48 steps at its new
+    /// levels, the N side one step at its old levels and then 47 at the
+    /// new ones. Without levels (the sampling cycle) each side runs 48
+    /// steps. The sides are independent linear systems, so running one
+    /// after the other changes no value; a recording session builds `sum`
+    /// from the two side traces at the end of the cycle.
+    fn cycle(&mut self, levels: Option<[SideLevels; 2]>) -> Result<(f64, f64), CircuitError> {
+        let ScTraces {
+            dac_p, dac_n, sum, ..
+        } = &mut self.traces;
+        let sides = self.circuits.iter_mut().zip(&mut self.sims);
+        for (i, ((circuit, sim), trace)) in sides.zip([&mut *dac_p, &mut *dac_n]).enumerate() {
+            let mut trace = self.record.then_some(trace);
+            let skew = if levels.is_some() { i } else { 0 };
+            run_side(sim, circuit, skew, trace.as_deref_mut())?;
+            if let Some(levels) = levels {
+                circuit.set_levels(levels[i]);
             }
-            let vp = self.sims[0].voltage(self.circuits[0].top);
-            let vn = self.sims[1].voltage(self.circuits[1].top);
-            let t = self.sims[0].time();
-            self.traces.dac_p.push(t, vp);
-            self.traces.dac_n.push(t, vn);
-            self.traces.sum.push(t, vp + vn);
+            run_side(sim, circuit, STEPS_PER_CYCLE - skew, trace)?;
         }
-        Ok(())
+        let start = sum.len();
+        let p = dac_p.times()[start..].iter().zip(&dac_p.values()[start..]);
+        for ((t, vp), vn) in p.zip(&dac_n.values()[start..]) {
+            sum.push(*t, vp + vn);
+        }
+        Ok((
+            self.sims[0].voltage(self.circuits[0].top),
+            self.sims[1].voltage(self.circuits[1].top),
+        ))
     }
 
     /// Ends the session and returns the accumulated traces.
     pub fn finish(self) -> ScTraces {
         self.traces
     }
+}
+
+/// Advances one side `n` time steps: folded into one affine map, or, when
+/// recording, one step at a time with each step's top-plate voltage pushed
+/// on `trace`.
+fn run_side(
+    sim: &mut LinearTransient,
+    circuit: &SideCircuit,
+    n: usize,
+    trace: Option<&mut Trace>,
+) -> Result<(), CircuitError> {
+    let Some(trace) = trace else {
+        return sim.advance(&circuit.nl, n);
+    };
+    for _ in 0..n {
+        sim.step(&circuit.nl)?;
+        trace.push(sim.time(), sim.voltage(circuit.top));
+    }
+    Ok(())
 }
 
 /// Output of an SC-array run.
@@ -661,14 +603,41 @@ mod tests {
         (p, n)
     }
 
+    /// A session over the counter stimulus `codes` at a 1.2 V reference:
+    /// the sampling cycle at `(in_p, in_n, vcm)`, then one cycle per code.
+    fn run_codes(
+        sc: &ScArray,
+        (in_p, in_n, vcm): (f64, f64, f64),
+        codes: std::ops::Range<u8>,
+        record: bool,
+    ) -> Result<ScTraces, CircuitError> {
+        let (lp, ln) = counter_levels(1.2, codes);
+        let mut session = sc.begin(in_p, in_n, vcm, record)?;
+        for (p, n) in lp.iter().zip(&ln) {
+            session.apply_code(*p, *n)?;
+        }
+        Ok(session.finish())
+    }
+
+    /// The settled `(DAC+, DAC−)` per code of a session that does not
+    /// record.
+    fn settled(
+        sc: &ScArray,
+        inputs: (f64, f64, f64),
+        codes: std::ops::Range<u8>,
+    ) -> Vec<(f64, f64)> {
+        run_codes(sc, inputs, codes, false)
+            .expect("the session runs")
+            .settled
+    }
+
     #[test]
     fn charge_redistribution_matches_theory() {
         let c = cfg();
         let sc = ScArray::new(&c);
         let din = 0.2;
         let (in_p, in_n) = (0.6 + din / 2.0, 0.6 - din / 2.0);
-        let (lp, ln) = counter_levels(1.2, 4..8);
-        let out = sc.run_codes(in_p, in_n, 0.6, &lp, &ln).unwrap();
+        let out = settled(&sc, (in_p, in_n, 0.6), 4..8);
         for (i, (vp, vn)) in out.iter().enumerate() {
             let code = 4 + i as u8;
             let m = code as f64 / 32.0 * 1.2;
@@ -686,11 +655,8 @@ mod tests {
     fn invariance_holds_for_any_fd_input() {
         let c = cfg();
         let sc = ScArray::new(&c);
-        let (lp, ln) = counter_levels(1.2, 10..12);
         for din in [-0.5, -0.1, 0.0, 0.3, 0.8] {
-            let out = sc
-                .run_codes(0.6 + din / 2.0, 0.6 - din / 2.0, 0.6, &lp, &ln)
-                .unwrap();
+            let out = settled(&sc, (0.6 + din / 2.0, 0.6 - din / 2.0, 0.6), 10..12);
             for (vp, vn) in out {
                 assert!((vp + vn - 1.2).abs() < 3e-3, "din {din}: sum {}", vp + vn);
             }
@@ -703,8 +669,7 @@ mod tests {
         // the always-detectable case of Fig. 5.
         let c = cfg();
         let sc = ScArray::new(&c);
-        let (lp, ln) = counter_levels(1.2, 0..4);
-        let out = sc.run_codes(0.6, 0.6, 0.45, &lp, &ln).unwrap();
+        let out = settled(&sc, (0.6, 0.6, 0.45), 0..4);
         for (vp, vn) in out {
             assert!(
                 (vp + vn - 1.2).abs() > 0.2,
@@ -724,8 +689,7 @@ mod tests {
         let c = cfg();
         let mut sc = ScArray::new(&c);
         sc.set_defect(Some((0, DefectKind::Short))); // P-side main cap
-        let (lp, ln) = counter_levels(1.2, 8..12);
-        let out = sc.run_codes(0.6 + 0.15, 0.6 - 0.15, 0.6, &lp, &ln).unwrap();
+        let out = settled(&sc, (0.6 + 0.15, 0.6 - 0.15, 0.6), 8..12);
         let worst = out
             .iter()
             .map(|(vp, vn)| (vp + vn - 1.2).abs())
@@ -739,8 +703,7 @@ mod tests {
         let mut sc = ScArray::new(&c);
         // P side, sw_conv_main open drain (index 3).
         sc.set_defect(Some((3, DefectKind::OpenDrain)));
-        let (lp, ln) = counter_levels(1.2, 20..24);
-        let out = sc.run_codes(0.6, 0.6, 0.6, &lp, &ln).unwrap();
+        let out = settled(&sc, (0.6, 0.6, 0.6), 20..24);
         let worst = out
             .iter()
             .map(|(vp, vn)| (vp + vn - 1.2).abs())
@@ -754,8 +717,7 @@ mod tests {
         let mut sc = ScArray::new(&c);
         // P side sw_cm (index 6) stuck on: DAC+ pinned at Vcm.
         sc.set_defect(Some((6, DefectKind::ShortDs)));
-        let (lp, ln) = counter_levels(1.2, 28..32);
-        let out = sc.run_codes(0.6, 0.6, 0.6, &lp, &ln).unwrap();
+        let out = settled(&sc, (0.6, 0.6, 0.6), 28..32);
         for (vp, _) in &out {
             assert!((vp - 0.6).abs() < 0.02, "pinned DAC+ = {vp}");
         }
@@ -772,8 +734,7 @@ mod tests {
     fn traces_show_settling_glitches() {
         let c = cfg();
         let sc = ScArray::new(&c);
-        let (lp, ln) = counter_levels(1.2, 0..32);
-        let tr = sc.trace_codes(0.6, 0.6, 0.6, &lp, &ln).unwrap();
+        let tr = run_codes(&sc, (0.6, 0.6, 0.6), 0..32, true).unwrap();
         assert_eq!(tr.settled.len(), 32);
         // The sum signal stays near 1.2 at cycle ends but must exhibit
         // excursions (glitches) somewhere mid-cycle.
@@ -795,8 +756,7 @@ mod tests {
             cm_n: -0.001,
             cl_n: 0.002,
         });
-        let (lp, ln) = counter_levels(1.2, 0..8);
-        let out = sc.run_codes(0.65, 0.55, 0.6, &lp, &ln).unwrap();
+        let out = settled(&sc, (0.65, 0.55, 0.6), 0..8);
         for (vp, vn) in out {
             let dev = (vp + vn - 1.2).abs();
             assert!(dev < 5e-3, "mismatch dev {dev}");
@@ -905,22 +865,22 @@ mod tests {
         let (lp, ln) = counter_levels(1.2, 0..32);
         for (name, sc) in &arrays {
             let want = oracle_sequence(sc, inputs, &lp, &ln);
-            let settled = sc.run_codes(inputs.0, inputs.1, inputs.2, &lp, &ln);
-            let traced = sc.trace_codes(inputs.0, inputs.1, inputs.2, &lp, &ln);
+            let folded = run_codes(sc, inputs, 0..32, false);
+            let traced = run_codes(sc, inputs, 0..32, true);
             let want = match want {
                 Ok(want) => want,
                 Err(e) => {
-                    assert_eq!(settled.err(), Some(e.clone()), "{name}: run_codes");
-                    assert_eq!(traced.err(), Some(e), "{name}: trace_codes");
+                    assert_eq!(folded.err(), Some(e.clone()), "{name}: folded");
+                    assert_eq!(traced.err(), Some(e), "{name}: traced");
                     continue;
                 }
             };
             let flat = |pairs: &[(f64, f64)]| -> Vec<f64> {
                 pairs.iter().flat_map(|&(p, n)| [p, n]).collect()
             };
-            let settled = settled.unwrap_or_else(|e| panic!("{name}: run_codes: {e}"));
-            assert_close(name, &flat(&settled), &flat(&want.settled));
-            let traced = traced.unwrap_or_else(|e| panic!("{name}: trace_codes: {e}"));
+            let folded = folded.unwrap_or_else(|e| panic!("{name}: folded: {e}"));
+            assert_close(name, &flat(&folded.settled), &flat(&want.settled));
+            let traced = traced.unwrap_or_else(|e| panic!("{name}: traced: {e}"));
             assert_close(name, &flat(&traced.settled), &flat(&want.settled));
             for (got, want) in [
                 (&traced.dac_p, &want.dac_p),

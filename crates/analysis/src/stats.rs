@@ -71,15 +71,6 @@ pub fn mean(data: &[f64]) -> f64 {
     summary(data).mean
 }
 
-/// Unbiased sample standard deviation.
-///
-/// # Panics
-///
-/// Panics if `data` is empty.
-pub fn std_dev(data: &[f64]) -> f64 {
-    summary(data).std
-}
-
 /// Empirical quantile (linear interpolation between order statistics).
 ///
 /// `q` must lie in `[0, 1]`.

@@ -6,12 +6,13 @@
 //! cargo run --release -p symbist-bench --bin obs_overhead
 //! ```
 //!
-//! One iteration runs `try_symbist_observations(0.2)` on a fresh clone of
-//! an ADC carrying a SUBDAC1 pass-switch drain–source short, as a campaign
-//! runs its sub-DAC defects (90 % of the universe): the bandgap comes from
-//! the shared defect-free snapshot, which is filled before timing, but the
-//! short alters every counter code, so the sweep runs 32 reference-ladder
-//! DC solves on an empty ladder cache, the Vcm solve and the SC array's
+//! One iteration injects a SUBDAC1 pass-switch drain–source short into a
+//! fresh clone of the defect-free ADC and runs `try_symbist_observations(0.2)`,
+//! as a campaign runs its sub-DAC defects (90 % of the universe): the
+//! bandgap comes from the shared defect-free snapshot, which is filled
+//! before timing, but the short alters every counter code, so the sweep
+//! runs 32 reference-ladder DC solves on the fresh ladder memo that
+//! `inject` starts, the Vcm solve and the SC array's
 //! 3,168 transient steps as 98 folded runs on the array's shared step maps
 //! (one run per side for the sampling cycle, three per code). Sequential
 //! whole-run timing lets host
@@ -40,23 +41,25 @@ const BUDGET_PCT: f64 = 3.0;
 const SWEPT_SWITCH: &str = "subdac1/mux_p/tap16/swn";
 
 fn main() -> ExitCode {
-    let mut base = SarAdc::new(AdcConfig::default());
+    let base = SarAdc::new(AdcConfig::default());
     let component = base
         .components()
         .iter()
         .position(|c| c.name == SWEPT_SWITCH)
         .expect("the catalog holds the swept switch");
-    base.inject(DefectSite {
+    let site = DefectSite {
         component,
         kind: DefectKind::ShortDs,
-    });
+    };
+    // Clones share the ladder memo of their state until `inject` starts a
+    // fresh one, so every sweep injects into its own clone.
     let sweep = || {
-        base.clone()
-            .try_symbist_observations(0.2)
+        let mut adc = base.clone();
+        adc.inject(site);
+        adc.try_symbist_observations(0.2)
             .expect("the defective ADC simulates")
     };
-    // Fill the shared defect-free snapshot outside the timed rounds; the
-    // clone keeps `base`'s own ladder cache empty.
+    // Fill the shared defect-free snapshot outside the timed rounds.
     black_box(sweep());
     let mut ratios = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {

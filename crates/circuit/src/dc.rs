@@ -152,7 +152,6 @@ pub(crate) fn charge_newton_iterations(n: u64) -> Result<bool, CircuitError> {
 pub struct Operating {
     pub(crate) x: Vec<f64>,
     pub(crate) node_count: usize,
-    pub(crate) branch_of: Vec<usize>,
 }
 
 impl Operating {
@@ -172,18 +171,6 @@ impl Operating {
     /// Differential voltage `v(a) − v(b)`.
     pub fn differential(&self, a: NodeId, b: NodeId) -> f64 {
         self.voltage(a) - self.voltage(b)
-    }
-
-    /// Branch current of a voltage-defined device (V source or VCVS),
-    /// positive flowing p → n *through* the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device has no branch current.
-    pub fn branch_current(&self, id: DeviceId) -> f64 {
-        let b = self.branch_of[id.index()];
-        assert!(b != usize::MAX, "device {id:?} has no branch current");
-        self.x[b]
     }
 
     /// The raw solution vector (node voltages then branch currents).
@@ -401,7 +388,6 @@ impl DcSolver {
         Operating {
             x,
             node_count: asm.layout().node_count,
-            branch_of: asm.layout().branch_of.clone(),
         }
     }
 }

@@ -202,48 +202,6 @@ impl MismatchSpec {
         }
         out
     }
-
-    /// Runs `samples` perturbed evaluations, collecting `f`'s output.
-    ///
-    /// The closure receives the sample index and the perturbed netlist.
-    pub fn run<T>(
-        &self,
-        netlist: &Netlist,
-        samples: usize,
-        rng: &mut Rng,
-        mut f: impl FnMut(usize, &Netlist) -> T,
-    ) -> Vec<T> {
-        (0..samples)
-            .map(|i| {
-                let sample = self.perturb(netlist, rng);
-                f(i, &sample)
-            })
-            .collect()
-    }
-
-    /// Parallel variant of [`MismatchSpec::run`] with per-sample RNG
-    /// streams.
-    ///
-    /// Each sample draws its randomness from an independent stream forked
-    /// from `rng` in sample order, so the result is **bit-identical for any
-    /// `threads` value** (including 1) — thread scheduling cannot reorder
-    /// the random draws. Note the stream discipline differs from
-    /// [`MismatchSpec::run`], which threads one stream through all samples;
-    /// the two entry points therefore produce different (but individually
-    /// reproducible) sample sets for the same seed.
-    pub fn run_parallel<T: Send>(
-        &self,
-        netlist: &Netlist,
-        samples: usize,
-        rng: &mut Rng,
-        threads: usize,
-        f: impl Fn(usize, &Netlist) -> T + Sync,
-    ) -> Vec<T> {
-        run_parallel_seeded(samples, rng, threads, |i, sample_rng| {
-            let sample = self.perturb(netlist, sample_rng);
-            f(i, &sample)
-        })
-    }
 }
 
 /// Runs `samples` independent seeded evaluations across `threads` workers,
@@ -333,9 +291,12 @@ mod tests {
         let mut rng = Rng::seed_from_u64(2);
         let mid = nl.find_node("m").unwrap();
         let solver = DcSolver::new();
-        let vals = spec.run(&nl, 2000, &mut rng, |_, sample| {
-            solver.solve(sample).unwrap().voltage(mid)
-        });
+        let vals: Vec<f64> = (0..2000)
+            .map(|_| {
+                let sample = spec.perturb(&nl, &mut rng);
+                solver.solve(&sample).unwrap().voltage(mid)
+            })
+            .collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         let sd =
             (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (vals.len() - 1) as f64).sqrt();
@@ -414,12 +375,15 @@ mod tests {
         spec.push(Variation::relative(r2, Param::Resistance, 0.01));
         let mid = nl.find_node("m").unwrap();
         let solver = DcSolver::new();
-        let eval = |_: usize, sample: &Netlist| solver.solve(sample).unwrap().voltage(mid);
+        let eval = |_: usize, rng: &mut Rng| {
+            let sample = spec.perturb(&nl, rng);
+            solver.solve(&sample).unwrap().voltage(mid)
+        };
         let runs: Vec<Vec<f64>> = [1usize, 2, 3, 8, 64]
             .iter()
             .map(|&threads| {
                 let mut rng = Rng::seed_from_u64(77);
-                spec.run_parallel(&nl, 50, &mut rng, threads, eval)
+                run_parallel_seeded(50, &mut rng, threads, eval)
             })
             .collect();
         for other in &runs[1..] {

@@ -141,14 +141,6 @@ impl GateCircuit {
         self.names.get(name).copied()
     }
 
-    /// Name of a net if it has one.
-    pub fn name_of(&self, net: Net) -> Option<&str> {
-        self.names
-            .iter()
-            .find(|(_, n)| **n == net)
-            .map(|(s, _)| s.as_str())
-    }
-
     /// Declares a primary input.
     pub fn input(&mut self, name: &str) -> Net {
         let n = self.net(name);

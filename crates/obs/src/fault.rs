@@ -151,13 +151,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a rule (builder style).
-    #[must_use]
-    pub fn with_rule(mut self, rule: FaultRule) -> FaultPlan {
-        self.rules.push(rule);
-        self
-    }
-
     /// The armed rules.
     pub fn rules(&self) -> &[FaultRule] {
         &self.rules
