@@ -7,7 +7,7 @@
 //! cycle), then runs one code cycle per code: the ladder at the select
 //! codes `(m, l)`, one SC-array clock cycle, the comparator chain.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use symbist_circuit::dc::set_thread_solve_budget;
 use symbist_circuit::error::CircuitError;
@@ -89,32 +89,41 @@ pub struct SarAdc {
     /// Global component index ranges per sub-block, in catalog order.
     ranges: Vec<(SubBlock, std::ops::Range<usize>)>,
     injected: Option<DefectSite>,
-    /// The reference-network solves of this state, a 32 × 32 table by
-    /// (m, l) select codes shared by every clone. A failed solve is not
-    /// stored. [`SarAdc::apply_mismatch`] and [`Faultable::clear_defects`]
-    /// (so also [`Faultable::inject`]) start a fresh one. Rows are
-    /// allocated on first use: a campaign defect never reads its memo
-    /// back, and a whole table per defect slowed campaigns measurably.
-    ladder: Arc<[OnceLock<Box<LadderRow>>; 32]>,
-    /// The defect-free [`Upstream`] values of this mismatch state, solved
-    /// on first use and shared by every clone (`None` inside when the
-    /// defect-free instance does not solve). [`SarAdc::apply_mismatch`]
-    /// starts a fresh one.
-    upstream: Arc<OnceLock<Option<Upstream>>>,
+    /// What the defect-free instance of this mismatch state has solved,
+    /// shared by every clone and replaced by [`SarAdc::apply_mismatch`].
+    nominal: Arc<Solves>,
+    /// What this state has solved, shared by clones and replaced by
+    /// [`SarAdc::apply_mismatch`] and [`Faultable::clear_defects`] (so
+    /// also [`Faultable::inject`]).
+    own: Arc<Solves>,
 }
 
-/// One row `m` of the ladder memo: the solves at select codes `(m, l)`.
+/// What one ADC state has solved: the sample bias (`vbg`, the ladder at
+/// select codes (0, 0), the Vcm output) and a 32 × 32 ladder table by
+/// `(m, l)`. A cell is filled on first use and never holds a failed
+/// solve; a ladder row is allocated on first use.
+#[derive(Debug, Default)]
+struct Solves {
+    vbg: OnceLock<f64>,
+    /// Filled in own stores only; see [`SarAdc::sample`].
+    vcm: OnceLock<f64>,
+    ladder: [OnceLock<Box<LadderRow>>; 32],
+    /// Held while a cell fills; reads take no lock. It guards no data, so
+    /// a lock poisoned by a panicking fill is taken over as it is.
+    filling: Mutex<()>,
+}
+
+/// One row of a ladder table: the solves on one diagonal `l − m`.
 type LadderRow = [OnceLock<RefOutputs>; 32];
 
-/// What a defect never changes: the defect-free bandgap output and the
-/// reference-ladder outputs at the 32 counter codes `(c, c)`. Blocks pass
-/// values downstream, not loads upstream, so a defect outside the blocks
-/// that produce a value leaves it bit-identical.
-#[derive(Debug)]
-struct Upstream {
-    vbg: f64,
-    /// Indexed by counter code.
-    ladder: Vec<RefOutputs>,
+impl Solves {
+    /// The ladder cell of select codes `(m, l)`, its row allocated on
+    /// first use. Rows run along the diagonals `l − m (mod 32)`, so the 32
+    /// counter codes `(c, c)` of an observation sweep share one row.
+    fn ladder(&self, m: u8, l: u8) -> &OnceLock<RefOutputs> {
+        let row = &self.ladder[usize::from(l.wrapping_sub(m) % 32)];
+        &row.get_or_init(Box::default)[usize::from(m)]
+    }
 }
 
 /// Internal addressing of the owning sub-block structs.
@@ -241,8 +250,8 @@ impl SarAdc {
             catalog: catalog.into(),
             ranges,
             injected: None,
-            ladder: Arc::default(),
-            upstream: Arc::default(),
+            nominal: Arc::default(),
+            own: Arc::default(),
         }
     }
 
@@ -260,8 +269,8 @@ impl SarAdc {
         self.sc.set_mismatch(m.sc);
         self.vcm.set_mismatch(m.vcm);
         self.chain.set_mismatch(m.chain);
-        self.ladder = Arc::default();
-        self.upstream = Arc::default();
+        self.nominal = Arc::default();
+        self.own = Arc::default();
     }
 
     /// The electrical configuration.
@@ -357,85 +366,78 @@ impl SarAdc {
             .is_none_or(|site| self.owner(site.component).0 != sb)
     }
 
-    /// The defect-free upstream values, solved once per mismatch state.
-    ///
-    /// The fill solves defect-free copies of the blocks, because the first
-    /// caller may itself carry a defect. It runs with the thread
-    /// `SolveBudget` suspended: every clone shares the result, so charging
-    /// it to whichever defect asks first would make budget verdicts and
-    /// solver counters depend on scheduling.
-    fn upstream(&self) -> Option<&Upstream> {
-        self.upstream
-            .get_or_init(|| {
+    /// The value in `cell` of the nominal or this state's store, solved by
+    /// `solve` on first use under the store's fill lock, so a clone on
+    /// another thread waits instead of solving it again. A nominal fill
+    /// runs with the thread `SolveBudget` suspended: charging it to
+    /// whichever clone asks first would make verdicts depend on scheduling.
+    fn solved<T: Copy>(
+        &self,
+        nominal: bool,
+        cell: impl FnOnce(&Solves) -> &OnceLock<T>,
+        solve: impl FnOnce() -> Result<T, CircuitError>,
+    ) -> Result<T, CircuitError> {
+        let store = if nominal { &self.nominal } else { &self.own };
+        let cell = cell(store);
+        if let Some(value) = cell.get() {
+            return Ok(*value);
+        }
+        let _filling = store.filling.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = cell.get() {
+            return Ok(*value);
+        }
+        let budget = nominal.then(|| set_thread_solve_budget(None));
+        let value = solve();
+        if let Some(budget) = budget {
+            set_thread_solve_budget(budget);
+        }
+        let value = value?;
+        Ok(*cell.get_or_init(|| value))
+    }
+
+    /// The bandgap output, from the nominal store when `nominal` (solved
+    /// on a defect-free copy of the bandgap, which a bandgap defect
+    /// compares its own against) or else from this state's.
+    fn vbg(&self, nominal: bool) -> Result<f64, CircuitError> {
+        self.solved(
+            nominal,
+            |s| &s.vbg,
+            || {
                 let mut bandgap = self.bandgap.clone();
-                bandgap.set_defect(None);
-                let mut refbuf = self.refbuf.clone();
-                refbuf.set_defect(None);
-                let sd1 = SubDac::new(BlockKind::SubDac1);
-                let sd2 = SubDac::new(BlockKind::SubDac2);
-                let budget = set_thread_solve_budget(None);
-                let solved = bandgap.solve().and_then(|out| {
-                    let ladder = (0..32u8)
-                        .map(|c| solve_ref_network(&refbuf, &sd1, &sd2, out.vbg, c, c))
-                        .collect::<Result<_, _>>()?;
-                    Ok(Upstream {
-                        vbg: out.vbg,
-                        ladder,
-                    })
-                });
-                set_thread_solve_budget(budget);
-                solved.ok()
-            })
-            .as_ref()
+                if nominal {
+                    bandgap.set_defect(None);
+                }
+                Ok(bandgap.solve()?.vbg)
+            },
+        )
     }
 
-    /// The bandgap output: the defect-free one unless the defect sits in
-    /// the bandgap.
-    fn vbg(&self) -> Result<f64, CircuitError> {
-        if self.healthy(SubBlock::Bandgap) {
-            if let Some(up) = self.upstream() {
-                return Ok(up.vbg);
-            }
-        }
-        Ok(self.bandgap.solve()?.vbg)
+    /// Whether this instance builds the defect-free reference network at
+    /// select codes `(m, l)`: the reference buffer is healthy, `vbg` is
+    /// the nominal one bit for bit, and neither sub-DAC's defect alters
+    /// its code.
+    fn nominal_ladder(&self, vbg: f64, m: u8, l: u8) -> Result<bool, CircuitError> {
+        Ok(self.healthy(SubBlock::RefBuf)
+            && !self.sd1.alters(m, &self.cfg)
+            && !self.sd2.alters(l, &self.cfg)
+            && vbg.to_bits() == self.vbg(true)?.to_bits())
     }
 
-    /// The defect-free ladder outputs at code `(c, c)` when this instance
-    /// would build the same reference network: the reference buffer is
-    /// healthy, `vbg` is bit-identical, and neither sub-DAC's defect alters
-    /// code `c`.
-    fn reused_ladder(&self, vbg: f64, c: u8) -> Option<RefOutputs> {
-        if !self.healthy(SubBlock::RefBuf)
-            || self.sd1.alters(c, &self.cfg)
-            || self.sd2.alters(c, &self.cfg)
-        {
-            return None;
-        }
-        let up = self.upstream()?;
-        (vbg.to_bits() == up.vbg.to_bits()).then(|| up.ladder[usize::from(c)])
+    /// The ladder outputs at select codes `(m, l)`, from the store
+    /// [`SarAdc::nominal_ladder`] picks; either way the solve runs on this
+    /// instance's own blocks.
+    fn ladder(&self, vbg: f64, m: u8, l: u8) -> Result<RefOutputs, CircuitError> {
+        self.solved(
+            self.nominal_ladder(vbg, m, l)?,
+            |s| s.ladder(m, l),
+            || solve_ref_network(&self.refbuf, &self.sd1, &self.sd2, vbg, m, l),
+        )
     }
 
-    /// The ladder outputs at select codes `(m, l)`: the defect-free
-    /// snapshot where [`SarAdc::reused_ladder`] allows it, else this
-    /// state's memo, else a solve.
-    fn ref_solve(&self, vbg: f64, m: u8, l: u8) -> Result<RefOutputs, CircuitError> {
-        if m == l {
-            if let Some(out) = self.reused_ladder(vbg, m) {
-                return Ok(out);
-            }
-        }
-        let slot = &self.ladder[usize::from(m)].get_or_init(Box::default)[usize::from(l)];
-        if let Some(out) = slot.get() {
-            return Ok(*out);
-        }
-        let out = solve_ref_network(&self.refbuf, &self.sd1, &self.sd2, vbg, m, l)?;
-        Ok(*slot.get_or_init(|| out))
-    }
-
-    /// Samples the FD input `din`: resolves `vbg`, asks the ladder for
-    /// code (0, 0) once, solves the Vcm generator from that code's top tap
-    /// `VREF[32]`, and starts an SC-array session (`record`: with full
-    /// waveforms).
+    /// Samples the FD input `din`: resolves the sample bias (`vbg`, the
+    /// ladder at code (0, 0), the Vcm generator fed from that code's top
+    /// tap `VREF[32]`), solved once per state, and starts an SC-array
+    /// session (`record`: with full waveforms).
     ///
     /// The input is biased on the exported common-mode pin, the ladder
     /// mid-tap `VREF[16]`, as external circuitry (and the ATE during BIST)
@@ -443,14 +445,16 @@ impl SarAdc {
     /// immune to absolute reference-scale error while leaving
     /// Vcm-generator defects fully observable.
     fn sample(&self, din: f64, record: bool) -> Result<Sample<'_>, CircuitError> {
-        let vbg = self.vbg()?;
-        let zero = self.ref_solve(vbg, 0, 0)?;
-        let vcm = self.vcm.solve(zero.vref32)?;
+        let vbg = self.vbg(self.healthy(SubBlock::Bandgap))?;
+        let zero = self.ladder(vbg, 0, 0)?;
+        // Always this state's own: a nominal Vcm output would take its
+        // Newton iteration out of every defect's budget charge and move
+        // budget-limited verdicts.
+        let vcm = self.solved(false, |s| &s.vcm, || self.vcm.solve(zero.vref32))?;
         let (in_p, in_n) = (zero.vref16 + din / 2.0, zero.vref16 - din / 2.0);
         Ok(Sample {
             adc: self,
             vbg,
-            zero,
             session: self.sc.begin(in_p, in_n, vcm, record)?,
         })
     }
@@ -530,8 +534,6 @@ impl SarAdc {
 struct Sample<'a> {
     adc: &'a SarAdc,
     vbg: f64,
-    /// The ladder outputs at code (0, 0).
-    zero: RefOutputs,
     session: ScSession,
 }
 
@@ -541,10 +543,7 @@ impl Sample<'_> {
     /// comparator chain reads the settled DAC±. Returns what the checkers
     /// observe (`code` is `m`) and the latch decision.
     fn cycle(&mut self, m: u8, l: u8) -> Result<(TestObservation, bool), CircuitError> {
-        let r = match (m, l) {
-            (0, 0) => self.zero,
-            _ => self.adc.ref_solve(self.vbg, m, l)?,
-        };
+        let r = self.adc.ladder(self.vbg, m, l)?;
         let (dac_p, dac_n) = self.session.apply_code(
             SideLevels {
                 m: r.m_plus,
@@ -634,7 +633,7 @@ impl Faultable for SarAdc {
         self.vcm.set_defect(None);
         self.chain.set_defect(None);
         self.injected = None;
-        self.ladder = Arc::default();
+        self.own = Arc::default();
     }
 
     fn injected(&self) -> Option<DefectSite> {
@@ -816,24 +815,16 @@ mod tests {
         Ok(())
     }
 
-    /// Every state change starts a fresh ladder memo: an instance warmed by
-    /// conversion sweeps converts, after each change, exactly as a fresh
-    /// instance in the same state. Both defects alter ladder solves the
-    /// sweep visits.
+    /// Every state change starts a fresh own store (and `apply_mismatch` a
+    /// fresh nominal one): an instance warmed by conversion sweeps
+    /// converts, after each change, exactly as a fresh instance in the same
+    /// state. Both defects alter ladder solves the sweep visits.
     #[test]
     fn state_changes_reset_the_ladder_memo() -> Result<(), CircuitError> {
         let sweep = |a: &SarAdc| -> Result<Vec<u16>, CircuitError> {
             (-16..=16)
                 .map(|i| a.try_convert(f64::from(i) * 0.07))
                 .collect()
-        };
-        let site = |name: &str, kind| DefectSite {
-            component: adc()
-                .components()
-                .iter()
-                .position(|c| c.name == name)
-                .expect("a catalog component"),
-            kind,
         };
         let mut warm = adc();
         let nominal = sweep(&warm)?;
@@ -866,18 +857,23 @@ mod tests {
         r.map(|o| [o.m_plus, o.m_minus, o.l_plus, o.l_minus, o.vref16, o.vref32].map(f64::to_bits))
     }
 
-    /// The upstream values an instance uses against a direct `Bandgap::solve`
-    /// plus `solve_ref_network` on its own blocks, for every counter code.
-    fn assert_upstream_matches_direct(a: &SarAdc, label: &str) -> Result<(), CircuitError> {
+    /// The values an instance uses against a direct `Bandgap::solve`,
+    /// `solve_ref_network` and `VcmGenerator::solve` on its own blocks: the
+    /// sample bias, the 32 counter codes `(c, c)` of its observation stream
+    /// and the select-code pairs `(c, 31 − c)`.
+    fn assert_solves_match_direct(a: &SarAdc, label: &str) -> Result<(), CircuitError> {
         let direct_vbg = a.bandgap.solve()?.vbg;
+        let direct_zero = solve_ref_network(&a.refbuf, &a.sd1, &a.sd2, direct_vbg, 0, 0)?;
         let mut stream = a.try_observation_stream(0.2)?;
+        let vbg = stream.sample.vbg;
+        assert_eq!(vbg.to_bits(), direct_vbg.to_bits(), "{label}: vbg");
         assert_eq!(
-            stream.sample.vbg.to_bits(),
-            direct_vbg.to_bits(),
-            "{label}: vbg"
+            a.own.vcm.get().copied().map(f64::to_bits),
+            Some(a.vcm.solve(direct_zero.vref32)?.to_bits()),
+            "{label}: vcm"
         );
         for c in 0..32u8 {
-            let used = stream.try_observe(c).map(|o| RefOutputs {
+            let observed = stream.try_observe(c).map(|o| RefOutputs {
                 m_plus: o.m_plus,
                 m_minus: o.m_minus,
                 l_plus: o.l_plus,
@@ -885,20 +881,22 @@ mod tests {
                 vref16: o.vref16,
                 vref32: o.vref32,
             });
-            let direct = solve_ref_network(&a.refbuf, &a.sd1, &a.sd2, direct_vbg, c, c);
-            assert_eq!(
-                ladder_bits(used),
-                ladder_bits(direct),
-                "{label}: ladder @ code {c}"
-            );
+            for ((m, l), used) in [((c, c), observed), ((c, 31 - c), a.ladder(vbg, c, 31 - c))] {
+                let direct = solve_ref_network(&a.refbuf, &a.sd1, &a.sd2, direct_vbg, m, l);
+                assert_eq!(
+                    ladder_bits(used),
+                    ladder_bits(direct),
+                    "{label}: ladder @ ({m}, {l})"
+                );
+            }
         }
         Ok(())
     }
 
     /// The reuse oracle over the whole defect universe: whatever an
-    /// instance takes from the shared defect-free snapshot equals what it
-    /// would solve itself, bit for bit. The first instance to fill the
-    /// snapshot carries a bandgap defect.
+    /// instance takes from the shared nominal store equals what it would
+    /// solve itself, bit for bit. The first instance to fill the nominal
+    /// `vbg` carries a bandgap defect.
     #[test]
     fn every_defect_sees_its_own_upstream_values() -> Result<(), CircuitError> {
         let base = adc();
@@ -908,39 +906,99 @@ mod tests {
                 let mut a = base.clone();
                 let site = DefectSite { component, kind };
                 a.inject(site);
-                assert_upstream_matches_direct(&a, &format!("{site:?}"))?;
+                assert_solves_match_direct(&a, &format!("{site:?}"))?;
                 defects += 1;
             }
         }
         assert_eq!(defects, 3922);
-        assert!(base.upstream.get().is_some_and(Option::is_some));
+        assert!(base.nominal.vbg.get().is_some());
+        let filled = |m, l| base.nominal.ladder(m, l).get().is_some();
+        assert!((0..32).all(|c| filled(c, c) && filled(c, 31 - c)));
         Ok(())
     }
 
-    /// The snapshot fill runs outside the thread budget: a sweep that
-    /// fills it spends exactly what a sweep on a filled snapshot spends.
-    #[test]
-    fn the_snapshot_fill_charges_nothing_to_the_thread_budget() -> Result<(), CircuitError> {
+    /// Newton iterations `run` charges to a fresh thread budget.
+    fn newton_spent<T>(run: impl FnOnce() -> Result<T, CircuitError>) -> Result<u64, CircuitError> {
         const ALLOWANCE: u64 = 1_000_000;
-        let spent = |a: &SarAdc| -> Result<u64, CircuitError> {
-            let prev = set_thread_solve_budget(Some(SolveBudget {
-                deadline: None,
-                newton_iters: Some(ALLOWANCE),
-            }));
-            let swept = a.try_symbist_observations(0.2);
-            let left = set_thread_solve_budget(prev).and_then(|b| b.newton_iters);
-            swept?;
-            Ok(ALLOWANCE - left.expect("the budget was installed"))
+        let prev = set_thread_solve_budget(Some(SolveBudget {
+            deadline: None,
+            newton_iters: Some(ALLOWANCE),
+        }));
+        let ran = run();
+        let left = set_thread_solve_budget(prev).and_then(|b| b.newton_iters);
+        ran?;
+        Ok(ALLOWANCE - left.expect("the budget was installed"))
+    }
+
+    /// A catalog site by component name.
+    fn site(name: &str, kind: DefectKind) -> DefectSite {
+        DefectSite {
+            component: adc()
+                .components()
+                .iter()
+                .position(|c| c.name == name)
+                .expect("a catalog component"),
+            kind,
+        }
+    }
+
+    /// Nominal cells fill outside the thread budget: with identical fresh
+    /// own stores, an observation sweep and a conversion spend exactly as
+    /// much on a cold nominal store as on a warm one, on the defect-free
+    /// instance and on defects in the bandgap, the ladder, a sub-DAC and
+    /// the SC array.
+    #[test]
+    fn nominal_fills_charge_nothing_to_the_thread_budget() -> Result<(), CircuitError> {
+        let run = |base: &SarAdc, site: Option<DefectSite>| {
+            let mut a = base.clone();
+            match site {
+                Some(site) => a.inject(site),
+                None => a.clear_defects(),
+            }
+            newton_spent(|| {
+                a.try_symbist_observations(0.2)?;
+                a.try_convert(0.3)
+            })
         };
-        let cold = adc();
-        let warm = adc();
-        warm.clone().try_symbist_observations(0.2)?;
-        assert!(cold.upstream.get().is_none());
-        assert_eq!(spent(&cold.clone())?, spent(&warm.clone())?);
-        assert!(
-            cold.upstream.get().is_some(),
-            "the budgeted sweep filled it"
+        for site in [
+            None,
+            Some(site("bandgap/r2", DefectKind::ParamHigh)),
+            Some(site("refbuf/ladder/r20", DefectKind::Short)),
+            Some(site("subdac1/mux_p/tap20/swn", DefectKind::ShortDs)),
+            Some(site("scarray/p/c_main", DefectKind::ParamLow)),
+        ] {
+            let (cold, warm) = (adc(), adc());
+            run(&warm, None)?;
+            assert!(cold.nominal.vbg.get().is_none());
+            assert_eq!(run(&cold, site)?, run(&warm, site)?, "{site:?}");
+            assert!(
+                cold.nominal.vbg.get().is_some(),
+                "the budgeted run filled it"
+            );
+        }
+        Ok(())
+    }
+
+    /// A state solves its sample bias once: after the first conversion of
+    /// a bandgap-defect instance, converting the same input again charges
+    /// what a defect-free conversion charges, so no bandgap or Vcm Newton
+    /// iteration.
+    #[test]
+    fn conversions_solve_the_sample_bias_once_per_state() -> Result<(), CircuitError> {
+        let (healthy, mut defective) = (adc(), adc());
+        defective.inject(site("bandgap/r2", DefectKind::ParamHigh));
+        let din = 0.3;
+        let first = newton_spent(|| defective.try_convert(din))?;
+        let own_vbg = defective.own.vbg.get().expect("the conversion solved vbg");
+        assert_ne!(
+            Some(own_vbg),
+            defective.nominal.vbg.get(),
+            "the defect moves vbg"
         );
+        healthy.try_convert(din)?;
+        let again = newton_spent(|| defective.try_convert(din))?;
+        assert!(first > again, "the first conversion solved the bias");
+        assert_eq!(again, newton_spent(|| healthy.try_convert(din))?);
         Ok(())
     }
 
@@ -954,9 +1012,11 @@ mod tests {
         let base = adc();
         let nominal = base.clone().try_symbist_observations(0.2)?;
         assert!(
-            base.upstream.get().is_some(),
-            "the sweep filled the snapshot"
+            base.nominal.vbg.get().is_some(),
+            "the sweep filled the nominal store"
         );
+        let rows = base.nominal.ladder.iter().filter(|row| row.get().is_some());
+        assert_eq!(rows.count(), 1, "the counter codes share one row");
         assert!(
             base.sc.maps_store().get().is_some_and(Option::is_some),
             "the sweep built the SC-array maps"
@@ -964,19 +1024,20 @@ mod tests {
 
         let mut varied = base.clone();
         varied.apply_mismatch(&AdcMismatch::sample(&mut Rng::seed_from_u64(3)));
-        assert!(!Arc::ptr_eq(&varied.upstream, &base.upstream));
+        assert!(!Arc::ptr_eq(&varied.nominal, &base.nominal));
+        assert!(!Arc::ptr_eq(&varied.own, &base.own));
         assert!(!share_sc_maps(&varied, &base));
         let clone = varied.clone();
-        assert!(Arc::ptr_eq(&clone.upstream, &varied.upstream));
+        assert!(Arc::ptr_eq(&clone.nominal, &varied.nominal));
         assert!(share_sc_maps(&clone, &varied));
-        assert_upstream_matches_direct(&clone, "clone of the mismatched instance")?;
+        assert_solves_match_direct(&clone, "clone of the mismatched instance")?;
         assert_ne!(clone.try_symbist_observations(0.2)?, nominal);
         assert_ne!(
             varied.sc.maps_store().get(),
             base.sc.maps_store().get(),
             "the mismatched maps are the mismatched array's own"
         );
-        // The instance cloned from stays on the snapshot of its own state.
+        // The instance cloned from stays on the store of its own state.
         assert_eq!(base.clone().try_symbist_observations(0.2)?, nominal);
         Ok(())
     }

@@ -816,14 +816,15 @@ mod tests {
     }
 
     /// `SubDac::alters` is exact: over every sub-DAC site, MOSFET defect
-    /// kind and counter code it holds exactly when the reference-network
-    /// netlist differs from the defect-free one.
+    /// kind and counter code `c` it holds exactly when the reference-network
+    /// netlist differs from the defect-free one, at `(c, c)` and with the
+    /// other sub-DAC's code at 0, 16 and 31.
     #[test]
     fn alters_exactly_when_the_network_changes() {
         let cfg = AdcConfig::default();
         let (rb, s1, s2) = parts();
-        let healthy: Vec<Netlist> = (0..32u8)
-            .map(|c| ref_network_netlist(&rb, &s1, &s2, VBG_NOM, c, c))
+        let healthy: Vec<Netlist> = (0..32 * 32)
+            .map(|i| ref_network_netlist(&rb, &s1, &s2, VBG_NOM, (i / 32) as u8, (i % 32) as u8))
             .collect();
         let (mut cases, mut altered) = (0, 0);
         for block in [BlockKind::SubDac1, BlockKind::SubDac2] {
@@ -831,25 +832,27 @@ mod tests {
             for idx in 0..SUBDAC_COMPONENTS {
                 for &kind in ComponentKind::Mosfet.applicable_defects() {
                     sub.set_defect(Some((idx, kind)));
-                    let (sd1, sd2) = match block {
-                        BlockKind::SubDac1 => (&sub, &s2),
-                        _ => (&s1, &sub),
-                    };
                     for c in 0..32u8 {
-                        let nl = ref_network_netlist(&rb, sd1, sd2, VBG_NOM, c, c);
-                        let differs = nl != healthy[usize::from(c)];
-                        assert_eq!(
-                            sub.alters(c, &cfg),
-                            differs,
-                            "{block:?} component {idx} {kind:?} @ code {c}"
-                        );
-                        cases += 1;
-                        altered += usize::from(differs);
+                        for other in [c, 0, 16, 31] {
+                            let (sd1, sd2, m, l) = match block {
+                                BlockKind::SubDac1 => (&sub, &s2, c, other),
+                                _ => (&s1, &sub, other, c),
+                            };
+                            let nl = ref_network_netlist(&rb, sd1, sd2, VBG_NOM, m, l);
+                            let differs = nl != healthy[usize::from(m) * 32 + usize::from(l)];
+                            assert_eq!(
+                                sd1.alters(m, &cfg) || sd2.alters(l, &cfg),
+                                differs,
+                                "{block:?} component {idx} {kind:?} @ ({m}, {l})"
+                            );
+                            cases += 1;
+                            altered += usize::from(differs);
+                        }
                     }
                 }
             }
         }
-        assert_eq!(cases, 2 * SUBDAC_COMPONENTS * 6 * 32);
+        assert_eq!(cases, 2 * SUBDAC_COMPONENTS * 6 * 32 * 4);
         assert!(0 < altered && altered < cases, "{altered} of {cases}");
     }
 

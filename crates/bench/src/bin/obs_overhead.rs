@@ -9,9 +9,9 @@
 //! One iteration injects a SUBDAC1 pass-switch drain–source short into a
 //! fresh clone of the defect-free ADC and runs `try_symbist_observations(0.2)`,
 //! as a campaign runs its sub-DAC defects (90 % of the universe): the
-//! bandgap comes from the shared defect-free snapshot, which is filled
+//! bandgap comes from the shared defect-free store, which is filled
 //! before timing, but the short alters every counter code, so the sweep
-//! runs 32 reference-ladder DC solves on the fresh ladder memo that
+//! runs 32 reference-ladder DC solves in the fresh store of solves that
 //! `inject` starts, the Vcm solve and the SC array's
 //! 3,168 transient steps as 98 folded runs on the array's shared step maps
 //! (one run per side for the sampling cycle, three per code). Sequential
@@ -51,15 +51,15 @@ fn main() -> ExitCode {
         component,
         kind: DefectKind::ShortDs,
     };
-    // Clones share the ladder memo of their state until `inject` starts a
-    // fresh one, so every sweep injects into its own clone.
+    // Clones share the store of solves of their state until `inject`
+    // starts a fresh one, so every sweep injects into its own clone.
     let sweep = || {
         let mut adc = base.clone();
         adc.inject(site);
         adc.try_symbist_observations(0.2)
             .expect("the defective ADC simulates")
     };
-    // Fill the shared defect-free snapshot outside the timed rounds.
+    // Fill the shared defect-free store outside the timed rounds.
     black_box(sweep());
     let mut ratios = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {

@@ -271,10 +271,10 @@ fn newton_budget_exhaustion_is_deterministic_on_real_solver() {
 }
 
 /// The real ADC under a Newton budget tight enough to cut some sweeps
-/// short: the shared defect-free snapshot is filled by whichever defect
-/// asks first, on whichever thread, and charges nothing to its budget, so
-/// every outcome is the same on 1 thread, on 3, and with the snapshot
-/// filled before the campaign starts.
+/// short: the shared defect-free store is filled by whichever defect asks
+/// first, on whichever thread, and charges nothing to its budget, so
+/// every outcome is the same on 1 thread, on 3, and with the store filled
+/// before the campaign starts.
 #[test]
 fn tight_newton_budget_gives_the_same_outcomes_on_any_thread_count() {
     let test = |adc: &SarAdc| -> Result<TestOutcome, CircuitError> {
@@ -285,8 +285,8 @@ fn tight_newton_budget_gives_the_same_outcomes_on_any_thread_count() {
         Ok(completed(detected))
     };
     let outcomes = |threads: usize, prefill: bool| -> Vec<(usize, SimOutcome)> {
-        // A fresh base per run, so the snapshot fill happens inside the
-        // campaign unless `prefill` runs it first.
+        // A fresh base per run, so the store fills inside the campaign
+        // unless `prefill` fills it first.
         let adc = SarAdc::new(AdcConfig::default());
         if prefill {
             adc.clone().try_symbist_observations(0.2).unwrap();

@@ -329,17 +329,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar. The input is a &str,
-                    // so byte boundaries are valid; copy bytes until the
-                    // next char boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the run up to the next quote or escape at once.
+                    // The input is a &str and both delimiters are ASCII, so
+                    // the run ends on a char boundary; a control character
+                    // is one byte below 0x20 in UTF-8.
+                    let start = self.pos;
+                    while let Some(b) = self.peek().filter(|b| !matches!(b, b'"' | b'\\')) {
+                        if b < 0x20 {
+                            return Err(self.err("unescaped control character"));
+                        }
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -434,6 +437,16 @@ mod tests {
             Some("e")
         );
         assert_eq!(v.get("a").and_then(Json::as_arr).map(|a| a.len()), Some(3));
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let text = "R1 a 0 1k → ∞ 😀 ".repeat(3_000);
+        let json = Json::Str(text.clone()).to_string();
+        assert_eq!(Json::parse(&json).unwrap(), Json::Str(text));
+        let err = Json::parse("\"ok → \u{1}\"").unwrap_err();
+        assert_eq!(err.offset, "\"ok → ".len());
+        assert_eq!(err.reason, "unescaped control character");
     }
 
     #[test]

@@ -41,4 +41,5 @@ pub use registry::{
 };
 pub use spec::{
     CalibrationSpec, DutSpec, DutSpecError, InvarianceKind, InvarianceSpec, LikelihoodSpec,
+    MAX_CALIBRATION_SAMPLES,
 };

@@ -67,13 +67,20 @@ pub struct InvarianceSpec {
     pub kind: InvarianceKind,
 }
 
+/// The most Monte-Carlo samples a calibration may ask for. An upload
+/// calibrates inside the request handler, one DC solve per sample and one
+/// stored deviation per sample and invariance, so a larger count is
+/// rejected (`400`) before any of that work starts. It sits well above the
+/// default of 100.
+pub const MAX_CALIBRATION_SAMPLES: usize = 10_000;
+
 /// Window-comparator calibration knobs (`δ = k·σ` over `samples`
 /// Monte-Carlo mismatch instances drawn from `seed`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationSpec {
     /// Window half-width in calibration sigmas.
     pub k: f64,
-    /// Monte-Carlo sample count (≥ 2).
+    /// Monte-Carlo sample count, 2 to [`MAX_CALIBRATION_SAMPLES`].
     pub samples: usize,
     /// Calibration RNG seed. Part of the content hash: two uploads that
     /// differ only in seed calibrate different windows and are distinct
@@ -403,13 +410,19 @@ fn parse_calibration(json: &Json) -> Result<CalibrationSpec, DutSpecError> {
             "calibration \"k\" must be finite and > 0, got {k}"
         )));
     }
-    let samples =
-        match json.get("samples") {
-            None | Some(Json::Null) => defaults.samples,
-            Some(v) => v.as_u64().filter(|n| *n >= 2).ok_or_else(|| {
-                DutSpecError("calibration \"samples\" must be an integer >= 2".into())
-            })? as usize,
-        };
+    let samples = match json.get("samples") {
+        None | Some(Json::Null) => defaults.samples,
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .filter(|n| (2..=MAX_CALIBRATION_SAMPLES).contains(n))
+            .ok_or_else(|| {
+                DutSpecError(format!(
+                    "calibration \"samples\" must be an integer from 2 to \
+                     {MAX_CALIBRATION_SAMPLES}"
+                ))
+            })?,
+    };
     let seed = match json.get("seed") {
         None | Some(Json::Null) => defaults.seed,
         Some(v) => v.as_u64().ok_or_else(|| {
@@ -635,12 +648,32 @@ mod tests {
                 r#"{"name":"x","netlist":"R1 a 0 1","invariances":[{"name":"i","kind":"replica","a":"a","b":"a"}],"calibration":{"samples":1}}"#,
             ),
             (
+                "a trillion samples",
+                r#"{"name":"x","netlist":"R1 a 0 1","invariances":[{"name":"i","kind":"replica","a":"a","b":"a"}],"calibration":{"samples":1000000000000}}"#,
+            ),
+            (
                 "all-zero weights",
                 r#"{"name":"x","netlist":"R1 a 0 1","invariances":[{"name":"i","kind":"replica","a":"a","b":"a"}],"likelihood":{"short_weight":0,"open_weight":0,"param_weight":0}}"#,
             ),
         ] {
             assert!(DutSpec::from_json_text(text).is_err(), "accepted: {label}");
         }
+    }
+
+    #[test]
+    fn calibration_samples_are_bounded() {
+        let with_samples = |n: usize| {
+            DutSpec::from_json_text(&format!(
+                r#"{{"name":"x","netlist":"R1 a 0 1","invariances":[{{"name":"i","kind":"replica","a":"a","b":"a"}}],"calibration":{{"samples":{n}}}}}"#
+            ))
+        };
+        let at = with_samples(MAX_CALIBRATION_SAMPLES).unwrap();
+        assert_eq!(at.calibration.samples, MAX_CALIBRATION_SAMPLES);
+        let err = with_samples(MAX_CALIBRATION_SAMPLES + 1).unwrap_err();
+        assert!(
+            err.0.contains(&MAX_CALIBRATION_SAMPLES.to_string()),
+            "{err}"
+        );
     }
 
     #[test]

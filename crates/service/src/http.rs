@@ -462,35 +462,10 @@ fn write_error(
     write_response(stream, error.status, &headers, error.envelope())
 }
 
-/// Renders a lint report as the service's JSON diagnostics shape (the
-/// same fields the `lint --json` binary emits).
+/// A lint report as the service's JSON diagnostics shape: the lint
+/// crate's own rendering, the one `lint --json` prints.
 fn lint_json(report: &symbist_lint::LintReport) -> Json {
-    Json::obj([
-        ("errors", Json::num(report.error_count() as f64)),
-        (
-            "warnings",
-            Json::num(report.count(symbist_lint::Severity::Warning) as f64),
-        ),
-        (
-            "diagnostics",
-            Json::Arr(
-                report
-                    .diagnostics()
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("rule", Json::str(d.rule.code())),
-                            ("name", Json::str(d.rule.name())),
-                            ("severity", Json::str(d.severity.label())),
-                            ("context", Json::str(d.context.clone())),
-                            ("subject", Json::str(d.subject.clone())),
-                            ("message", Json::str(d.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    Json::parse(&report.to_json_string()).expect("the lint crate renders valid JSON")
 }
 
 fn write_response(

@@ -73,6 +73,6 @@ pub use http::{Server, ServiceConfig};
 pub use job::{
     Job, JobId, JobProgress, JobReport, JobState, JobStatus, Registry, RegistryStats, SubmitError,
 };
-pub use spec::{JobSpec, SpecError};
+pub use spec::{JobSpec, SpecError, MAX_THREADS};
 pub use symbist_dut::{Json, JsonError};
 pub use worker::WorkerPool;

@@ -20,6 +20,12 @@ use std::time::Duration;
 use symbist_defects::CampaignOptions;
 use symbist_dut::Json;
 
+/// The most campaign threads one job may ask for. A campaign spawns that
+/// many scoped OS threads (at most one per selected defect), so a larger
+/// value is rejected (`400`) at submit time. It is a fixed number, not the
+/// host's core count, so every `coord` worker accepts the same specs.
+pub const MAX_THREADS: usize = 64;
+
 /// A validated campaign job specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -33,7 +39,7 @@ pub struct JobSpec {
     pub seed: u64,
     /// Worker threads *within* this job's campaign. Defaults to 1: the
     /// service's worker pool is the primary parallelism axis, so a single
-    /// job does not hog every core.
+    /// job does not hog every core. At most [`MAX_THREADS`].
     pub threads: usize,
     /// Per-defect Newton iteration budget (deterministic timeout).
     pub newton_budget: Option<u64>,
@@ -116,8 +122,12 @@ impl JobSpec {
         }
         let defaults = JobSpec::default();
         let threads = match opt_u64(json, "threads")? {
-            Some(0) => return Err(SpecError("\"threads\" must be at least 1".into())),
-            Some(n) => n as usize,
+            Some(n) if (1..=MAX_THREADS as u64).contains(&n) => n as usize,
+            Some(_) => {
+                return Err(SpecError(format!(
+                    "\"threads\" must be from 1 to {MAX_THREADS}"
+                )))
+            }
             None => defaults.threads,
         };
         let sample_size = opt_u64(json, "sample_size")?.map(|n| n as usize);
@@ -288,12 +298,22 @@ mod tests {
             r#"{"sample_size": "forty"}"#,
             r#"{"block": 3}"#,
             r#"{"threads": 0}"#,
+            r#"{"threads": 100000}"#,
             r#"{"sample_size": 0}"#,
             r#"{"seed": -1}"#,
             r#"[1,2]"#,
         ] {
             assert!(JobSpec::from_json_text(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn threads_are_bounded_by_a_fixed_constant() {
+        let at = format!(r#"{{"threads": {MAX_THREADS}}}"#);
+        assert_eq!(JobSpec::from_json_text(&at).unwrap().threads, MAX_THREADS);
+        let over = format!(r#"{{"threads": {}}}"#, MAX_THREADS + 1);
+        let err = JobSpec::from_json_text(&over).unwrap_err();
+        assert!(err.0.contains(&MAX_THREADS.to_string()), "{err}");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use std::time::Duration;
 use symbist::experiments::ExperimentConfig;
 use symbist_defects::checkpoint::merged_line;
 use symbist_defects::DefectRecord;
-use symbist_dut::{CapArrayConfig, DutRegistry, DutRegistryConfig, DutSpec};
+use symbist_dut::{
+    CapArrayConfig, DutRegistry, DutRegistryConfig, DutSpec, MAX_CALIBRATION_SAMPLES,
+};
 use symbist_service::backend::{AdcBackend, CampaignBackend, SyntheticBackend};
 use symbist_service::client::{Client, ClientError, ServiceError};
 use symbist_service::coord::{run_coordinator, CoordConfig};
@@ -139,6 +141,26 @@ fn upload_lint_gate_dedup_and_quota_over_the_wire() {
     ] {
         assert!(metrics.contains(family), "missing {family}");
     }
+    shut_down(server);
+}
+
+/// An upload asking for more calibration samples than the bound is a
+/// typed `400` from the parser: the registry never sees it, so no
+/// calibration (one DC solve and one stored deviation per sample) starts.
+#[test]
+fn oversized_calibration_is_rejected_before_any_work() {
+    let (server, client) = start_with_registry(Arc::new(SyntheticBackend::new(4)), 4, None);
+    let mut spec = CapArrayConfig::binary(3).dut_spec();
+    for samples in [MAX_CALIBRATION_SAMPLES + 1, 1_000_000_000_000] {
+        spec.calibration.samples = samples;
+        match client.upload_dut(&spec) {
+            Err(ClientError::Service(ServiceError::BadRequest(message))) => {
+                assert!(message.contains("samples"), "{message}");
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+    }
+    assert!(client.list_duts().unwrap().is_empty(), "nothing registered");
     shut_down(server);
 }
 

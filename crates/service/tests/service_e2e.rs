@@ -111,6 +111,17 @@ fn bad_specs_are_rejected_with_400() {
             other => panic!("expected bad_request, got {other:?}"),
         }
     }
+    // A campaign would spawn one OS thread per requested thread: a spec
+    // above `MAX_THREADS` is refused with the stable code before any job
+    // exists.
+    let (status, body) = raw_request(server.addr(), "POST", "/v1/jobs", r#"{"threads": 100000}"#);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(
+        parse_envelope(&body).get("code").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("submitted").and_then(Json::as_u64), Some(0));
     // Unknown routes and jobs.
     assert!(matches!(
         client.status(999),
@@ -548,6 +559,40 @@ fn lint_endpoint_reports_for_admitted_jobs() {
         client.lint(9_999),
         Err(ClientError::Service(ServiceError::NotFound(_)))
     ));
+    server.request_shutdown();
+    server.wait();
+}
+
+/// `GET /v1/lint/{id}` serves the lint crate's own rendering of the
+/// backend's pre-flight report, escapes included.
+#[test]
+fn lint_endpoint_serves_the_lint_crates_rendering() {
+    use symbist_lint::{Diagnostic, LintReport, Rule};
+
+    let mut report = LintReport::new();
+    report.push(Diagnostic::new(
+        Rule::DanglingNode,
+        "synthetic dut",
+        "node \"tap\\7\"",
+        "one terminal only:\n\tR9 → nothing",
+    ));
+    report.push(Diagnostic::new(
+        Rule::OrbitSummary,
+        "synthetic dut",
+        "orbits",
+        "3 node orbits",
+    ));
+    let backend = SyntheticBackend::new(3).with_lint_report(report);
+    let expected = Json::parse(&backend.preflight(&JobSpec::default()).to_json_string())
+        .expect("the lint crate renders JSON");
+    let (server, client) = start(ServiceConfig::default(), Arc::new(backend));
+    let id = client
+        .submit(&JobSpec::default())
+        .expect("warnings admit the job");
+    let (status, body) = raw_request(server.addr(), "GET", &format!("/v1/lint/{id}"), "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(Json::parse(&body).expect("lint body is JSON"), expected);
+    assert_eq!(expected.get("warnings").and_then(Json::as_u64), Some(1));
     server.request_shutdown();
     server.wait();
 }
