@@ -59,10 +59,10 @@ fn main() {
         "stimulus", "digital counter", "precise sine"
     );
     println!(
-        "{:<28} {:>15.1}s {:>15.1}s",
+        "{:<28} {:>13.1} ms {:>13.1} ms",
         "defect-sim wall time",
-        sym.total_wall.as_secs_f64(),
-        fun.total_wall.as_secs_f64()
+        sym.total_wall.as_secs_f64() * 1e3,
+        fun.total_wall.as_secs_f64() * 1e3
     );
 
     // Where the two tests disagree.

@@ -1,10 +1,14 @@
 //! Small-signal AC analysis.
 //!
-//! Linearizes the circuit around its DC operating point (diodes and
-//! MOSFETs become their small-signal conductances/transconductances,
-//! capacitors become `jωC` admittances) and solves the complex MNA system
-//! at each requested frequency with a single designated source excited at
-//! 1 V (all other independent sources zeroed).
+//! Linearizes the circuit around its DC operating point and solves
+//! `(G + jωC)·x = e` at each requested frequency with a single designated
+//! source excited at 1 V (all other independent sources zeroed). `G` is
+//! the DC solver's own MNA matrix assembled at the operating point, where
+//! diodes and MOSFETs stamp their small-signal conductances and
+//! transconductances; `C` holds the capacitances. Each frequency is
+//! solved as the real system `[G −ωC; ωC G]·[x_re; x_im] = [e; 0]` by the
+//! one dense LU, so DC, transient and AC share one device model and one
+//! factorization.
 //!
 //! In the reproduction this powers the AC-BIST extension experiment:
 //! decoupling-capacitor opens are invisible to every DC invariance but
@@ -31,10 +35,11 @@
 
 use std::f64::consts::PI;
 
-use crate::dc::DcSolver;
+use crate::dc::{DcSolver, GMIN};
 use crate::error::CircuitError;
-use crate::mna::{diode_eval, nmos_eval, MnaLayout, Thermal};
-use crate::netlist::{Device, DeviceId, MosPolarity, Netlist, NodeId};
+use crate::matrix::Matrix;
+use crate::mna::{conductance, Assembler, AssemblyCtx, Thermal};
+use crate::netlist::{Device, DeviceId, Netlist, NodeId};
 
 /// A complex number (kept local: the circuit crate has no deps).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -59,105 +64,6 @@ impl Cplx {
     /// Phase in radians.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    fn add(self, o: Self) -> Self {
-        Self::new(self.re + o.re, self.im + o.im)
-    }
-
-    fn sub(self, o: Self) -> Self {
-        Self::new(self.re - o.re, self.im - o.im)
-    }
-
-    fn mul(self, o: Self) -> Self {
-        Self::new(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-    }
-
-    fn div(self, o: Self) -> Self {
-        let d = o.re * o.re + o.im * o.im;
-        Self::new(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-    }
-}
-
-/// Dense complex matrix with LU solve (magnitude partial pivoting).
-struct CMatrix {
-    n: usize,
-    data: Vec<Cplx>,
-}
-
-impl CMatrix {
-    fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            data: vec![Cplx::default(); n * n],
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: Cplx) {
-        let cell = &mut self.data[r * self.n + c];
-        *cell = cell.add(v);
-    }
-
-    /// In-place LU solve; consumes the matrix.
-    fn solve(mut self, mut b: Vec<Cplx>) -> Result<Vec<Cplx>, CircuitError> {
-        let n = self.n;
-        let scale = self
-            .data
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(f64::MIN_POSITIVE);
-        let tol = 1e-13 * scale;
-        for k in 0..n {
-            // Pivot by magnitude.
-            let mut pr = k;
-            let mut pv = self.data[k * n + k].abs();
-            for r in (k + 1)..n {
-                let v = self.data[r * n + k].abs();
-                if v > pv {
-                    pv = v;
-                    pr = r;
-                }
-            }
-            if pv <= tol {
-                return Err(CircuitError::Singular { column: k });
-            }
-            if pr != k {
-                for c in 0..n {
-                    self.data.swap(k * n + c, pr * n + c);
-                }
-                b.swap(k, pr);
-            }
-            let pivot = self.data[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.data[r * n + k].div(pivot);
-                if factor.abs() == 0.0 {
-                    continue;
-                }
-                for c in (k + 1)..n {
-                    let sub = factor.mul(self.data[k * n + c]);
-                    let cell = &mut self.data[r * n + c];
-                    *cell = cell.sub(sub);
-                }
-                b[r] = b[r].sub(factor.mul(b[k]));
-            }
-        }
-        // Back substitution.
-        let mut x = vec![Cplx::default(); n];
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum = sum.sub(self.data[i * n + j].mul(*xj));
-            }
-            x[i] = sum.div(self.data[i * n + i]);
-        }
-        Ok(x)
     }
 }
 
@@ -239,145 +145,56 @@ impl AcSolver {
             "frequencies must be positive"
         );
         let op = self.dc.solve(netlist)?;
-        let layout = MnaLayout::new(netlist);
-        let dim = layout.dim;
-        let v = |n: NodeId| op.voltage(n);
+        // G: the DC system linearized at the operating point with every
+        // independent source zeroed and every capacitor open. Its
+        // right-hand side (companion currents) plays no part in AC.
+        let mut asm = Assembler::new(netlist);
+        asm.assemble(
+            netlist,
+            &AssemblyCtx {
+                time: 0.0,
+                source_scale: 0.0,
+                gmin: GMIN,
+                guess: op.raw(),
+                cap_companion: &[],
+                thermal: Thermal::new(self.dc.options().temperature_c + 273.15),
+            },
+        );
+        let (layout, g) = (&asm.layout, &asm.matrix);
+        let n = layout.dim;
+        // C: the capacitances, stamped like conductances.
+        let mut c = Matrix::zeros(n, n);
+        for (_, dev) in netlist.iter() {
+            if let Device::Capacitor { a, b, farads, .. } = dev {
+                conductance(layout, *a, *b, *farads, &mut |r, k, v| c.add(r, k, v));
+            }
+        }
+        // e: 1 V on the excited source's branch row; the imaginary half
+        // of the right-hand side is zero.
+        let mut e = vec![0.0; 2 * n];
+        e[layout.branch_index(source)] = 1.0;
 
         let mut solutions = Vec::with_capacity(freqs.len());
         for &f in freqs {
             let omega = 2.0 * PI * f;
-            let mut m = CMatrix::zeros(dim);
-            let mut rhs = vec![Cplx::default(); dim];
-            // gmin regularization, as in DC.
-            for i in 0..(layout.node_count - 1) {
-                m.add(i, i, Cplx::new(crate::dc::GMIN, 0.0));
-            }
-
-            let stamp_g = |m: &mut CMatrix, a: NodeId, b: NodeId, g: Cplx| {
-                let ia = layout.node_index(a);
-                let ib = layout.node_index(b);
-                if let Some(i) = ia {
-                    m.add(i, i, g);
-                }
-                if let Some(j) = ib {
-                    m.add(j, j, g);
-                }
-                if let (Some(i), Some(j)) = (ia, ib) {
-                    m.add(i, j, Cplx::new(-g.re, -g.im));
-                    m.add(j, i, Cplx::new(-g.re, -g.im));
-                }
-            };
-            let stamp_gm =
-                |m: &mut CMatrix, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64| {
-                    for (out, sign_o) in [(p, 1.0), (n, -1.0)] {
-                        let Some(r) = layout.node_index(out) else {
-                            continue;
-                        };
-                        for (ctrl, sign_c) in [(cp, 1.0), (cn, -1.0)] {
-                            if let Some(c) = layout.node_index(ctrl) {
-                                m.add(r, c, Cplx::new(gm * sign_o * sign_c, 0.0));
-                            }
-                        }
-                    }
-                };
-
-            for (id, dev) in netlist.iter() {
-                match dev {
-                    Device::Resistor { a, b, ohms } => {
-                        stamp_g(&mut m, *a, *b, Cplx::new(1.0 / ohms, 0.0));
-                    }
-                    Device::Switch {
-                        a,
-                        b,
-                        closed,
-                        r_on,
-                        r_off,
-                    } => {
-                        let r = if *closed { *r_on } else { *r_off };
-                        stamp_g(&mut m, *a, *b, Cplx::new(1.0 / r, 0.0));
-                    }
-                    Device::Capacitor { a, b, farads, .. } => {
-                        stamp_g(&mut m, *a, *b, Cplx::new(0.0, omega * farads));
-                    }
-                    Device::VSource { p, n, .. } => {
-                        let br = layout.branch_index(id);
-                        if let Some(ip) = layout.node_index(*p) {
-                            m.add(ip, br, Cplx::new(1.0, 0.0));
-                            m.add(br, ip, Cplx::new(1.0, 0.0));
-                        }
-                        if let Some(in_) = layout.node_index(*n) {
-                            m.add(in_, br, Cplx::new(-1.0, 0.0));
-                            m.add(br, in_, Cplx::new(-1.0, 0.0));
-                        }
-                        rhs[br] = if id == source {
-                            Cplx::new(1.0, 0.0)
-                        } else {
-                            Cplx::default()
-                        };
-                    }
-                    Device::ISource { .. } => {
-                        // Independent current sources are zeroed in AC.
-                    }
-                    Device::Vcvs { p, n, cp, cn, gain } => {
-                        let br = layout.branch_index(id);
-                        if let Some(ip) = layout.node_index(*p) {
-                            m.add(ip, br, Cplx::new(1.0, 0.0));
-                            m.add(br, ip, Cplx::new(1.0, 0.0));
-                        }
-                        if let Some(in_) = layout.node_index(*n) {
-                            m.add(in_, br, Cplx::new(-1.0, 0.0));
-                            m.add(br, in_, Cplx::new(-1.0, 0.0));
-                        }
-                        if let Some(icp) = layout.node_index(*cp) {
-                            m.add(br, icp, Cplx::new(-gain, 0.0));
-                        }
-                        if let Some(icn) = layout.node_index(*cn) {
-                            m.add(br, icn, Cplx::new(*gain, 0.0));
-                        }
-                    }
-                    Device::Vccs { p, n, cp, cn, gm } => {
-                        stamp_gm(&mut m, *p, *n, *cp, *cn, *gm);
-                    }
-                    Device::Diode {
-                        anode,
-                        cathode,
-                        i_sat,
-                        ideality,
-                    } => {
-                        let thermal = Thermal::new(self.dc.options().temperature_c + 273.15);
-                        let vd = v(*anode) - v(*cathode);
-                        let (_, g) =
-                            diode_eval(vd, thermal.diode_is(*i_sat), ideality * thermal.vt());
-                        stamp_g(&mut m, *anode, *cathode, Cplx::new(g, 0.0));
-                    }
-                    Device::Mosfet {
-                        d,
-                        g,
-                        s,
-                        polarity,
-                        vth,
-                        kp,
-                        lambda,
-                    } => {
-                        // Same normalization as the DC stamp (see mna.rs):
-                        // the small-signal gm/gds stamps are sign-invariant.
-                        let sign = match polarity {
-                            MosPolarity::Nmos => 1.0,
-                            MosPolarity::Pmos => -1.0,
-                        };
-                        let (nvd, nvg, nvs) = (sign * v(*d), sign * v(*g), sign * v(*s));
-                        let (hd, hs, nhd, nhs) = if nvd < nvs {
-                            (*s, *d, nvs, nvd)
-                        } else {
-                            (*d, *s, nvd, nvs)
-                        };
-                        let (_, gm, gds) = nmos_eval(nvg - nhs, nhd - nhs, *vth, *kp, *lambda);
-                        stamp_g(&mut m, hd, hs, Cplx::new(gds, 0.0));
-                        stamp_gm(&mut m, hd, hs, *g, hs, gm);
-                    }
+            let mut m = Matrix::zeros(2 * n, 2 * n);
+            for r in 0..n {
+                for k in 0..n {
+                    let (gv, wc) = (g.get(r, k), omega * c.get(r, k));
+                    m.set(r, k, gv);
+                    m.set(r, n + k, -wc);
+                    m.set(n + r, k, wc);
+                    m.set(n + r, n + k, gv);
                 }
             }
-            solutions.push(m.solve(rhs)?);
+            // Pivot columns `k` and `n + k` both belong to unknown `k`.
+            let x = m
+                .lu()
+                .map_err(|s| CircuitError::Singular {
+                    column: s.column % n,
+                })?
+                .solve(&e);
+            solutions.push((0..n).map(|i| Cplx::new(x[i], x[n + i])).collect());
         }
         Ok(AcSweep {
             freqs: freqs.to_vec(),
@@ -408,6 +225,8 @@ pub fn log_space(f_start: f64, f_stop: f64, points: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::sweep_vsource;
+    use crate::netlist::{MosPolarity, SourceWave};
 
     fn rc_lowpass() -> (Netlist, DeviceId, NodeId) {
         let mut nl = Netlist::new();
@@ -485,6 +304,59 @@ mod tests {
         let gain = sweep.voltage(0, d);
         assert!((gain.abs() - 1.0).abs() < 0.01, "|gain| {}", gain.abs());
         assert!((sweep.phase_deg(0, d).abs() - 180.0).abs() < 1.0);
+    }
+
+    /// Checks the 1 Hz AC gain from `source` to `node` against a central
+    /// finite difference of two DC solves around the source's value: the
+    /// AC system must linearize the very device model the operating point
+    /// solves.
+    fn assert_ac_gain_matches_dc(mut nl: Netlist, source: DeviceId, node: NodeId) {
+        let ac = AcSolver::new()
+            .solve(&nl, source, &[1.0])
+            .unwrap()
+            .voltage(0, node);
+        let Device::VSource {
+            wave: SourceWave::Dc(v0),
+            ..
+        } = *nl.device(source)
+        else {
+            panic!("the excited source must be a DC voltage source");
+        };
+        let h = 1e-4;
+        let pts = sweep_vsource(&mut nl, source, v0 - h, v0 + h, 2).unwrap();
+        let dc = (pts[1].1.voltage(node) - pts[0].1.voltage(node)) / (pts[1].0 - pts[0].0);
+        assert!(
+            (ac.re - dc).abs() <= 1e-4 * dc.abs() && ac.im.abs() <= 1e-4 * dc.abs(),
+            "AC gain {ac:?} vs DC finite difference {dc}"
+        );
+    }
+
+    #[test]
+    fn mosfet_gain_matches_dc_below_the_vth_floor() {
+        // vth = 5 mV sits below the device model's 10 mV threshold floor,
+        // so gm differs unless AC applies the floor the DC solve applies.
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let g = nl.node("g");
+        let d = nl.node("d");
+        nl.vsource(vdd, Netlist::GND, 3.0);
+        let vin = nl.vsource(g, Netlist::GND, 0.2);
+        nl.resistor(vdd, d, 10e3);
+        nl.capacitor(d, Netlist::GND, 1e-12);
+        nl.mosfet(d, g, Netlist::GND, MosPolarity::Nmos, 0.005, 2e-4, 0.05);
+        assert_ac_gain_matches_dc(nl, vin, d);
+    }
+
+    #[test]
+    fn diode_divider_gain_matches_dc() {
+        let mut nl = Netlist::new();
+        let s = nl.node("in");
+        let o = nl.node("out");
+        let vs = nl.vsource(s, Netlist::GND, 1.0);
+        nl.resistor(s, o, 1e3);
+        nl.diode(o, Netlist::GND, 1e-15, 1.0);
+        nl.capacitor(o, Netlist::GND, 1e-12);
+        assert_ac_gain_matches_dc(nl, vs, o);
     }
 
     #[test]

@@ -15,13 +15,16 @@
 //! * `mna` (crate-internal) — Modified Nodal Analysis assembly and the
 //!   solve engine.
 //! * [`matrix`] — dense LU with partial pivoting: the one factorization,
-//!   used by every DC, Newton and transient solve and by the SC-array step
-//!   operators.
+//!   used by every DC, Newton, transient and AC solve and by the SC-array
+//!   step operators.
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
 //! * [`transient`] — backward-Euler integration; the netlist is borrowed
 //!   per step so digital controllers can flip switches, which is how the
 //!   SAR conversion loop drives the analog core. Linear decks step through
 //!   per-phase step maps and fold runs of steps into one affine map.
+//! * [`ac`] — small-signal frequency sweeps, linearized by the DC stamps
+//!   at the operating point; the AC-BIST extension probes the Vcm
+//!   generator's ripple transfer with it.
 //! * [`mc`] — process-variation engine used to calibrate SymBIST's
 //!   `δ = k·σ` comparison windows.
 //! * [`rng`] — deterministic xoshiro256++; all experiments are reproducible

@@ -146,7 +146,7 @@ pub(crate) struct AssemblyCtx<'a> {
 
 /// Stamps a conductance `g` between nodes `a` and `b`.
 #[inline]
-fn conductance(
+pub(crate) fn conductance(
     layout: &MnaLayout,
     a: NodeId,
     b: NodeId,
@@ -457,7 +457,7 @@ impl Drop for MnaEngine {
 }
 
 /// Shockley diode with exponent limiting: returns `(i, di/dv)`.
-pub(crate) fn diode_eval(vd: f64, i_sat: f64, nvt: f64) -> (f64, f64) {
+fn diode_eval(vd: f64, i_sat: f64, nvt: f64) -> (f64, f64) {
     let x = vd / nvt;
     if x > DIODE_EXP_MAX {
         // Linear extrapolation beyond the exponent cap.
@@ -476,7 +476,7 @@ pub(crate) fn diode_eval(vd: f64, i_sat: f64, nvt: f64) -> (f64, f64) {
 }
 
 /// Level-1 NMOS square law: returns `(ids, gm, gds)` for `vds >= 0`.
-pub(crate) fn nmos_eval(vgs: f64, vds: f64, vth: f64, kp: f64, lambda: f64) -> (f64, f64, f64) {
+fn nmos_eval(vgs: f64, vds: f64, vth: f64, kp: f64, lambda: f64) -> (f64, f64, f64) {
     debug_assert!(vds >= 0.0);
     let vov = vgs - vth;
     if vov <= 0.0 {

@@ -65,8 +65,9 @@ pub fn lint_netlist(context: &str, nl: &Netlist) -> LintReport {
 }
 
 /// SYM-L020..L025: one diagnostic per device whose parameters fail the
-/// shared validator (the same check `Netlist::push` applies in debug
-/// builds, so release-built netlists still get vetted here).
+/// shared validator. `Netlist::push` applies the same check in every
+/// build, so these rules catch values written afterwards through
+/// `Netlist::device_mut` (the defect injector's path).
 fn parameter_rules(context: &str, nl: &Netlist, report: &mut LintReport) {
     for (id, device) in nl.iter() {
         if let Some(issue) = device_param_issue(device) {

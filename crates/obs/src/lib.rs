@@ -1,7 +1,7 @@
 //! # symbist-obs — zero-dependency observability
 //!
-//! The measurement substrate for the whole workspace: a lock-sharded
-//! **metrics registry** (counters, gauges, fixed-bucket histograms) plus
+//! The measurement substrate for the whole workspace: a **metrics
+//! registry** (counters, gauges, fixed-bucket histograms) plus
 //! **span-based tracing** with a bounded ring-buffer exporter. Hand-rolled
 //! on `std` like everything else in the repo — no `prometheus`, no
 //! `tracing`, no `opentelemetry`.

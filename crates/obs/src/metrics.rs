@@ -1,7 +1,7 @@
-//! The lock-sharded metrics registry and its three instrument kinds.
+//! The metrics registry and its three instrument kinds.
 //!
-//! Registration (cold path) takes a shard lock keyed by the metric name's
-//! hash; recording (hot path) touches only the instrument's own atomics.
+//! Registration (cold path) takes the registry's one lock; recording (hot
+//! path) touches only the instrument's own atomics.
 //! Handles are `&'static`: the registry allocates each instrument once
 //! and leaks it, which is the standard trade for process-lifetime metrics
 //! — no reference counting, no lock, no lifetime threading through the
@@ -249,46 +249,30 @@ impl Handle {
     }
 }
 
-const SHARDS: usize = 16;
-
-/// The process-wide metric registry: name → instrument, sharded by name
-/// hash so concurrent registrations (and the render walk) never contend
-/// on one lock.
+/// The process-wide metric registry: name → (help, instrument) behind one
+/// lock. Only registration (once per macro call site, whose `OnceLock`
+/// caches the handle) and [`Registry::render_prometheus`] take it;
+/// recording never does.
 pub struct Registry {
-    shards: [Mutex<HashMap<String, (String, Handle)>>; SHARDS],
+    metrics: Mutex<HashMap<String, (String, Handle)>>,
 }
 
 /// The global registry.
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
+    REGISTRY.get_or_init(|| Registry {
+        metrics: Mutex::new(HashMap::new()),
+    })
 }
 
 impl Registry {
-    fn new() -> Registry {
-        Registry {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, (String, Handle)>> {
-        // FNV-1a: tiny, stable across runs (unlike RandomState), and only
-        // used to spread registrations — not security sensitive.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(hash as usize) % SHARDS]
-    }
-
     fn register(&self, name: &str, help: &str, make: impl FnOnce() -> Handle) -> Handle {
-        let mut shard = self.shard(name).lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, handle)) = shard.get(name) {
+        let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, handle)) = metrics.get(name) {
             return *handle;
         }
         let handle = make();
-        shard.insert(name.to_string(), (help.to_string(), handle));
+        metrics.insert(name.to_string(), (help.to_string(), handle));
         handle
     }
 
@@ -342,16 +326,15 @@ impl Registry {
         // family → (kind, help, Vec<(label part, handle)>)
         type Family = (&'static str, String, Vec<(String, Handle)>);
         let mut families: BTreeMap<String, Family> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (name, (help, handle)) in shard.iter() {
-                let (family, labels) = split_name(name);
-                let entry = families
-                    .entry(family.to_string())
-                    .or_insert_with(|| (handle.kind(), help.clone(), Vec::new()));
-                entry.2.push((labels.to_string(), *handle));
-            }
+        let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        for (name, (help, handle)) in metrics.iter() {
+            let (family, labels) = split_name(name);
+            let entry = families
+                .entry(family.to_string())
+                .or_insert_with(|| (handle.kind(), help.clone(), Vec::new()));
+            entry.2.push((labels.to_string(), *handle));
         }
+        drop(metrics);
         let mut out = String::new();
         for (family, (kind, help, mut series)) in families {
             series.sort_by(|a, b| a.0.cmp(&b.0));

@@ -241,7 +241,6 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, stop: &AtomicBo
                 let _ = write_error(
                     &mut stream,
                     &ApiError::new(429, "saturated", "handler pool saturated").with_retry_after(1),
-                    &[],
                 );
                 // The request was never read, so a plain close would RST
                 // the connection and could destroy the in-flight 429.
@@ -448,18 +447,14 @@ impl ApiError {
 
 /// Writes an [`ApiError`] envelope; `retry_after` doubles as the
 /// `Retry-After` header.
-fn write_error(
-    stream: &mut TcpStream,
-    error: &ApiError,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<u16> {
-    let retry = error.retry_after.map(|s| s.to_string());
-    let mut headers: Vec<(&str, &str)> = Vec::with_capacity(extra_headers.len() + 1);
-    if let Some(retry) = &retry {
-        headers.push(("Retry-After", retry));
-    }
-    headers.extend_from_slice(extra_headers);
-    write_response(stream, error.status, &headers, error.envelope())
+fn write_error(stream: &mut TcpStream, error: &ApiError) -> std::io::Result<u16> {
+    write_payload(
+        stream,
+        error.status,
+        error.retry_after,
+        "application/json",
+        &format!("{}\n", error.envelope()),
+    )
 }
 
 /// A lint report as the service's JSON diagnostics shape: the lint
@@ -468,16 +463,11 @@ fn lint_json(report: &symbist_lint::LintReport) -> Json {
     Json::parse(&report.to_json_string()).expect("the lint crate renders valid JSON")
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: Json,
-) -> std::io::Result<u16> {
+fn write_response(stream: &mut TcpStream, status: u16, body: Json) -> std::io::Result<u16> {
     write_payload(
         stream,
         status,
-        extra_headers,
+        None,
         "application/json",
         &format!("{body}\n"),
     )
@@ -490,13 +480,15 @@ fn write_text_response(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<u16> {
-    write_payload(stream, status, &[], content_type, body)
+    write_payload(stream, status, None, content_type, body)
 }
 
+/// Writes one response; `retry_after` (seconds), when set, is sent as the
+/// `Retry-After` header.
 fn write_payload(
     stream: &mut TcpStream,
     status: u16,
-    extra_headers: &[(&str, &str)],
+    retry_after: Option<u64>,
     content_type: &str,
     payload: &str,
 ) -> std::io::Result<u16> {
@@ -506,11 +498,8 @@ fn write_payload(
         status_reason(status),
         payload.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    if let Some(seconds) = retry_after {
+        head.push_str(&format!("Retry-After: {seconds}\r\n"));
     }
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
@@ -541,7 +530,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 431 => "header_too_large",
                 _ => "bad_request",
             };
-            let written = write_error(&mut stream, &ApiError::new(status, code, message), &[]);
+            let written = write_error(&mut stream, &ApiError::new(status, code, message));
             record_request_metrics(written, start);
             return;
         }
@@ -560,7 +549,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Some(symbist_obs::FaultAction::Reject) => {
                 let error = ApiError::new(503, "queue_full", "fault-injected transient rejection")
                     .with_retry_after(1);
-                let written = write_error(&mut stream, &error, &[]);
+                let written = write_error(&mut stream, &error);
                 record_request_metrics(written, start);
                 return;
             }
@@ -608,7 +597,7 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared) -> std::io:
     let path = request.path.as_str();
     match path.strip_prefix("/v1") {
         Some(rest) if rest.starts_with('/') => route_v1(stream, method, rest, request, shared),
-        _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
+        _ => write_error(stream, &ApiError::not_found("no such route")),
     }
 }
 
@@ -621,14 +610,13 @@ fn route_v1(
 ) -> std::io::Result<u16> {
     match (method, path) {
         ("GET", "/healthz") => {
-            write_response(stream, 200, &[], Json::obj([("status", Json::str("ok"))]))
+            write_response(stream, 200, Json::obj([("status", Json::str("ok"))]))
         }
         ("GET", "/stats") => {
             let s = shared.registry.stats();
             write_response(
                 stream,
                 200,
-                &[],
                 Json::obj([
                     ("queue_depth", Json::num(s.queue_depth as f64)),
                     ("queue_capacity", Json::num(s.queue_capacity as f64)),
@@ -645,7 +633,6 @@ fn route_v1(
         ("GET", "/universe") => write_response(
             stream,
             200,
-            &[],
             Json::obj([("defects", Json::num(shared.backend.universe_len() as f64))]),
         ),
         ("GET", "/metrics") => write_text_response(
@@ -659,12 +646,7 @@ fn route_v1(
         ("GET", "/duts") => list_duts(stream, shared),
         ("POST", "/shutdown") => {
             shared.request_shutdown();
-            write_response(
-                stream,
-                202,
-                &[],
-                Json::obj([("status", Json::str("draining"))]),
-            )
+            write_response(stream, 202, Json::obj([("status", Json::str("draining"))]))
         }
         _ => route_job(stream, method, path, shared),
     }
@@ -679,13 +661,13 @@ fn route_job(
     if let Some((id, tail)) = parse_job_path(path, "/report/") {
         return match (method, tail) {
             ("GET", None) => report(stream, id, shared),
-            _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+            _ => write_error(stream, &ApiError::method_not_allowed()),
         };
     }
     if let Some((id, tail)) = parse_job_path(path, "/lint/") {
         return match (method, tail) {
             ("GET", None) => lint_report(stream, id, shared),
-            _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+            _ => write_error(stream, &ApiError::method_not_allowed()),
         };
     }
     if let Some(reference) = path.strip_prefix("/duts/") {
@@ -693,18 +675,18 @@ fn route_job(
             if !reference.is_empty() && !reference.contains('/') {
                 return match method {
                     "GET" => dut_analysis(stream, reference, shared),
-                    _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+                    _ => write_error(stream, &ApiError::method_not_allowed()),
                 };
             }
         }
         return match (method, reference.contains('/')) {
             ("GET", false) => get_dut(stream, reference, shared),
-            (_, false) => write_error(stream, &ApiError::method_not_allowed(), &[]),
-            _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
+            (_, false) => write_error(stream, &ApiError::method_not_allowed()),
+            _ => write_error(stream, &ApiError::not_found("no such route")),
         };
     }
     let Some((id, tail)) = parse_job_path(path, "/jobs/") else {
-        return write_error(stream, &ApiError::not_found("no such route"), &[]);
+        return write_error(stream, &ApiError::not_found("no such route"));
     };
     match (method, tail) {
         ("GET", None) => job_status(stream, id, shared),
@@ -712,9 +694,9 @@ fn route_job(
         ("GET", Some("trace")) => job_trace(stream, id, shared),
         ("DELETE", None) => cancel_job(stream, id, shared),
         (_, None | Some("results" | "trace")) => {
-            write_error(stream, &ApiError::method_not_allowed(), &[])
+            write_error(stream, &ApiError::method_not_allowed())
         }
-        _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
+        _ => write_error(stream, &ApiError::not_found("no such route")),
     }
 }
 
@@ -725,16 +707,15 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             return write_error(
                 stream,
                 &ApiError::new(400, "bad_request", "expected a JSON job spec body"),
-                &[],
             )
         }
     };
     let spec = match JobSpec::from_json_text(text) {
         Ok(spec) => spec,
-        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]),
+        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0)),
     };
     if let Err(e) = shared.backend.validate(&spec) {
-        return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]);
+        return write_error(stream, &ApiError::new(400, "bad_request", e.0));
     }
     // Static pre-flight: a DUT/universe that fails Error-level lints
     // would burn a worker slot on a campaign doomed to NoConvergence or
@@ -747,13 +728,12 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             "pre-flight lint failed: the DUT or defect universe is structurally broken",
         )
         .with_diagnostics(lint_json(&lint));
-        return write_error(stream, &error, &[]);
+        return write_error(stream, &error);
     }
     match shared.registry.submit(spec) {
         Ok(job) => write_response(
             stream,
             201,
-            &[],
             Json::obj([
                 ("id", Json::num(job.id as f64)),
                 ("state", Json::str(job.state().label())),
@@ -762,10 +742,9 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
         Err(e @ SubmitError::QueueFull { .. }) => write_error(
             stream,
             &ApiError::new(503, "queue_full", e.to_string()).with_retry_after(1),
-            &[],
         ),
         Err(e @ SubmitError::Draining) => {
-            write_error(stream, &ApiError::new(503, "draining", e.to_string()), &[])
+            write_error(stream, &ApiError::new(503, "draining", e.to_string()))
         }
     }
 }
@@ -816,7 +795,6 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     let text = match std::str::from_utf8(body) {
@@ -825,13 +803,12 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             return write_error(
                 stream,
                 &ApiError::new(400, "bad_request", "expected a JSON DUT spec body"),
-                &[],
             )
         }
     };
     let spec = match DutSpec::from_json_text(text) {
         Ok(spec) => spec,
-        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]),
+        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0)),
     };
     match registry.upload(spec) {
         Ok(outcome) => {
@@ -841,7 +818,7 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             if let Json::Obj(map) = &mut body {
                 map.insert("created".into(), Json::Bool(outcome.created()));
             }
-            write_response(stream, status, &[], body)
+            write_response(stream, status, body)
         }
         Err(UploadError::Lint(report)) => {
             let error = ApiError::new(
@@ -851,27 +828,18 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
                  universe is structurally broken",
             )
             .with_diagnostics(lint_json(&report));
-            write_error(stream, &error, &[])
+            write_error(stream, &error)
         }
         Err(e @ UploadError::Quota { .. }) => {
             // 403, not 429: quota exhaustion is not transient, so the
             // client's backoff-and-retry loop must not touch it.
-            write_error(
-                stream,
-                &ApiError::new(403, "quota_exceeded", e.to_string()),
-                &[],
-            )
+            write_error(stream, &ApiError::new(403, "quota_exceeded", e.to_string()))
         }
         Err(UploadError::Io(e)) => write_error(
             stream,
             &ApiError::new(500, "internal", format!("registry persistence failed: {e}")),
-            &[],
         ),
-        Err(e) => write_error(
-            stream,
-            &ApiError::new(400, "bad_request", e.to_string()),
-            &[],
-        ),
+        Err(e) => write_error(stream, &ApiError::new(400, "bad_request", e.to_string())),
     }
 }
 
@@ -881,7 +849,6 @@ fn list_duts(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<u16> {
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     let duts: Vec<Json> = registry
@@ -889,7 +856,7 @@ fn list_duts(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<u16> {
         .iter()
         .map(|entry| dut_json(entry, false))
         .collect();
-    write_response(stream, 200, &[], Json::obj([("duts", Json::Arr(duts))]))
+    write_response(stream, 200, Json::obj([("duts", Json::Arr(duts))]))
 }
 
 /// `GET /v1/duts/{id-or-name}`: full detail including the cached lint
@@ -899,12 +866,11 @@ fn get_dut(stream: &mut TcpStream, reference: &str, shared: &Shared) -> std::io:
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     match registry.get(reference) {
-        Some(entry) => write_response(stream, 200, &[], dut_json(&entry, true)),
-        None => write_error(stream, &ApiError::not_found("no such DUT"), &[]),
+        Some(entry) => write_response(stream, 200, dut_json(&entry, true)),
+        None => write_error(stream, &ApiError::not_found("no such DUT")),
     }
 }
 
@@ -920,42 +886,35 @@ fn dut_analysis(stream: &mut TcpStream, reference: &str, shared: &Shared) -> std
     };
     match shared.backend.analysis(&spec) {
         Some(report) => match Json::parse(&report.to_json_string()) {
-            Ok(body) => write_response(stream, 200, &[], body),
+            Ok(body) => write_response(stream, 200, body),
             Err(e) => write_error(
                 stream,
                 &ApiError::new(500, "internal", format!("analysis rendering failed: {e}")),
-                &[],
             ),
         },
-        None => write_error(
-            stream,
-            &ApiError::not_found("no analysis for this DUT"),
-            &[],
-        ),
+        None => write_error(stream, &ApiError::not_found("no analysis for this DUT")),
     }
 }
 
 fn job_status(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     match shared.registry.get(id) {
-        Some(job) => write_response(stream, 200, &[], job.status().to_json()),
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        Some(job) => write_response(stream, 200, job.status().to_json()),
+        None => write_error(stream, &ApiError::not_found("no such job")),
     }
 }
 
 fn cancel_job(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     match shared.registry.get(id) {
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such job")),
         Some(job) if job.state().is_terminal() => write_error(
             stream,
             &ApiError::new(409, "conflict", "job already finished"),
-            &[],
         ),
         Some(job) => {
             shared.registry.cancel(id);
             write_response(
                 stream,
                 202,
-                &[],
                 Json::obj([
                     ("id", Json::num(job.id as f64)),
                     ("state", Json::str(job.state().label())),
@@ -982,18 +941,18 @@ fn lint_report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::R
                     map.insert("analysis".into(), summary);
                 }
             }
-            write_response(stream, 200, &[], body)
+            write_response(stream, 200, body)
         }
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such job")),
     }
 }
 
 fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     let Some(job) = shared.registry.get(id) else {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     };
     match (job.state(), job.report()) {
-        (JobState::Completed, Some(report)) => write_response(stream, 200, &[], report.to_json()),
+        (JobState::Completed, Some(report)) => write_response(stream, 200, report.to_json()),
         (state, _) => write_error(
             stream,
             &ApiError::new(
@@ -1001,7 +960,6 @@ fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result
                 "conflict",
                 format!("no report: job is {}", state.label()),
             ),
-            &[],
         ),
     }
 }
@@ -1012,7 +970,7 @@ fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result
 /// old jobs' spans — recent jobs are the ones worth inspecting.
 fn job_trace(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     if shared.registry.get(id).is_none() {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     }
     let scope = format!("job-{id}");
     let mut body = String::new();
@@ -1029,7 +987,7 @@ fn job_trace(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Res
 /// stream is byte-identical to the job's checkpoint modulo record order.
 fn stream_results(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     let Some(job) = shared.registry.get(id) else {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     };
     // A client that vanishes mid-stream (broken pipe on a write below) is
     // routine, not an error: count it, release the handler slot, and move

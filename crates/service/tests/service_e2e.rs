@@ -173,6 +173,10 @@ fn queue_full_returns_503_backpressure() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.get("rejected").and_then(Json::as_u64), Some(3));
     assert_eq!(stats.get("queue_depth").and_then(Json::as_u64), Some(2));
+    // On the wire the hint is also the `Retry-After` header.
+    let (status, headers, body) = raw_request_full(server.addr(), "POST", "/v1/jobs", "{}");
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
 
     gate.release();
     server.request_shutdown();
